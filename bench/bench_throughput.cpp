@@ -1,17 +1,13 @@
-// Imaging-engine throughput: images/sec across thread counts and weight
-// cache on/off, plus the determinism spot-check that makes the parallel
-// numbers trustworthy (every configuration must reproduce the serial,
-// cache-off image bit for bit).
+// Imaging-engine throughput: images/sec across thread counts, plus the
+// determinism spot-check that makes the parallel numbers trustworthy
+// (every configuration must reproduce the serial image bit for bit).
 //
 // The workload mirrors deployment: a batch of beeps from one stance shares
-// a single estimated plane distance, so after the first image every MVDR
-// steer replays from the weight cache.
+// a single estimated plane distance.
 //
 // Acceptance:
-//   * determinism — every (threads, cache) image is bit-identical to the
+//   * determinism — every thread count's image is bit-identical to the
 //     serial reference;
-//   * cache      — on a warm batch the hit rate clears 50% and caching
-//     does not slow the engine down;
 //   * scaling    — >= 3x speedup at 8 threads, gated on the machine
 //     actually having >= 4 hardware threads (SKIP otherwise: on fewer
 //     cores the extra workers have nowhere to run).
@@ -45,10 +41,8 @@ using namespace echoimage;
 
 struct Measurement {
   std::size_t threads = 1;
-  bool cache = false;
   double images_per_sec = 0.0;
-  double speedup_vs_serial = 0.0;  ///< same cache mode, threads = 1
-  double hit_rate = 0.0;
+  double speedup_vs_serial = 0.0;  ///< vs threads = 1
   bool bit_identical = false;
 };
 
@@ -89,7 +83,7 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> kThreads{1, 2, 4, 8};
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
-  std::cout << "== Imaging throughput: thread sweep x weight cache ==\n("
+  std::cout << "== Imaging throughput: thread sweep ==\n("
             << kGrid << "x" << kGrid << " grids, " << kSubbands
             << " bands, " << kImages << " images per config, " << hw
             << " hardware thread(s)" << (smoke ? ", SMOKE" : "") << ")\n\n";
@@ -105,10 +99,9 @@ int main(int argc, char** argv) {
   base.grid_size = kGrid;
   base.num_subbands = kSubbands;
 
-  // Serial cache-off reference: the bit pattern every config must match.
+  // Serial reference: the bit pattern every config must match.
   core::ImagingConfig ref_cfg = base;
   ref_cfg.num_threads = 1;
-  ref_cfg.use_weight_cache = false;
   const std::vector<core::Matrix2D> reference =
       core::AcousticImager(ref_cfg, geometry)
           .construct_bands(batch.beeps[0], echoimage::units::Meters{0.7},
@@ -116,92 +109,65 @@ int main(int argc, char** argv) {
 
   std::vector<Measurement> results;
   std::vector<std::vector<std::string>> rows;
-  for (const bool cache : {false, true}) {
-    double serial_rate = 0.0;
-    for (const std::size_t threads : kThreads) {
-      core::ImagingConfig cfg = base;
-      cfg.num_threads = threads;
-      cfg.use_weight_cache = cache;
-      const core::AcousticImager imager(cfg, geometry);
+  double serial_rate = 0.0;
+  for (const std::size_t threads : kThreads) {
+    core::ImagingConfig cfg = base;
+    cfg.num_threads = threads;
+    const core::AcousticImager imager(cfg, geometry);
 
-      // Warm-up render: first-touch pool spin-up and cold cache misses stay
-      // out of the timed region (the steady state is what deployment sees).
-      std::vector<core::Matrix2D> image = imager.construct_bands(
-          batch.beeps[0], echoimage::units::Meters{0.7}, 0.0002,
-          batch.noise_only);
-      if (imager.weight_cache() != nullptr)
-        imager.weight_cache()->reset_stats();
+    // Warm-up render: first-touch pool spin-up stays out of the timed
+    // region (the steady state is what deployment sees).
+    std::vector<core::Matrix2D> image = imager.construct_bands(
+        batch.beeps[0], echoimage::units::Meters{0.7}, 0.0002,
+        batch.noise_only);
 
-      const auto start = std::chrono::steady_clock::now();
-      for (std::size_t r = 0; r < kImages; ++r)
-        image = imager.construct_bands(batch.beeps[r % batch.beeps.size()],
-                                       echoimage::units::Meters{0.7}, 0.0002,
-                                       batch.noise_only);
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      // Compare against the reference on the reference's beep (the timed
-      // loop cycles through the batch, so `image` holds a different one).
-      image = imager.construct_bands(batch.beeps[0],
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t r = 0; r < kImages; ++r)
+      image = imager.construct_bands(batch.beeps[r % batch.beeps.size()],
                                      echoimage::units::Meters{0.7}, 0.0002,
                                      batch.noise_only);
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    // Compare against the reference on the reference's beep (the timed
+    // loop cycles through the batch, so `image` holds a different one).
+    image = imager.construct_bands(batch.beeps[0],
+                                   echoimage::units::Meters{0.7}, 0.0002,
+                                   batch.noise_only);
 
-      Measurement m;
-      m.threads = threads;
-      m.cache = cache;
-      m.images_per_sec =
-          static_cast<double>(kImages) / std::max(1e-9, elapsed.count());
-      if (threads == 1) serial_rate = m.images_per_sec;
-      m.speedup_vs_serial =
-          serial_rate > 0.0 ? m.images_per_sec / serial_rate : 0.0;
-      m.hit_rate = imager.weight_cache() != nullptr
-                       ? imager.weight_cache()->stats().hit_rate()
-                       : 0.0;
-      m.bit_identical = bitwise_equal(image, reference);
-      results.push_back(m);
-      rows.push_back({std::to_string(threads), cache ? "on" : "off",
-                      eval::fmt(m.images_per_sec),
-                      eval::fmt(m.speedup_vs_serial), eval::fmt(m.hit_rate),
-                      m.bit_identical ? "yes" : "NO"});
-      std::cerr << '.' << std::flush;
-    }
+    Measurement m;
+    m.threads = threads;
+    m.images_per_sec =
+        static_cast<double>(kImages) / std::max(1e-9, elapsed.count());
+    if (threads == 1) serial_rate = m.images_per_sec;
+    m.speedup_vs_serial =
+        serial_rate > 0.0 ? m.images_per_sec / serial_rate : 0.0;
+    m.bit_identical = bitwise_equal(image, reference);
+    results.push_back(m);
+    rows.push_back({std::to_string(threads), eval::fmt(m.images_per_sec),
+                    eval::fmt(m.speedup_vs_serial),
+                    m.bit_identical ? "yes" : "NO"});
+    std::cerr << '.' << std::flush;
   }
   std::cerr << '\n';
 
   std::cout << '\n';
   eval::print_table(std::cout,
-                    {"threads", "cache", "images/s", "speedup", "hit rate",
-                     "bit-identical"},
+                    {"threads", "images/s", "speedup", "bit-identical"},
                     rows);
 
   // --- Acceptance ---
   bool deterministic = true;
   for (const Measurement& m : results) deterministic &= m.bit_identical;
 
-  double cache_on_serial = 0.0, cache_off_serial = 0.0, warm_hit_rate = 0.0;
   double best_8t_speedup = 0.0;
-  for (const Measurement& m : results) {
-    if (m.threads == 1 && m.cache) {
-      cache_on_serial = m.images_per_sec;
-      warm_hit_rate = m.hit_rate;
-    }
-    if (m.threads == 1 && !m.cache) cache_off_serial = m.images_per_sec;
+  for (const Measurement& m : results)
     if (m.threads == 8 && m.speedup_vs_serial > best_8t_speedup)
       best_8t_speedup = m.speedup_vs_serial;
-  }
-  const double cache_speedup =
-      cache_off_serial > 0.0 ? cache_on_serial / cache_off_serial : 0.0;
-  // Timing on a loaded CI box is noisy; the cache claim is "not slower,
-  // hits dominate", the real win being the skipped steering + MVDR solves.
-  const bool cache_ok = warm_hit_rate >= 0.5 && cache_speedup >= 0.9;
   const bool scaling_applicable = hw >= 4;
   const bool scaling_ok = best_8t_speedup >= 3.0;
 
   std::cout << "\ndeterminism (all configs match serial bitwise): "
             << (deterministic ? "PASS" : "FAIL")
-            << "\nwarm-batch cache hit rate: " << eval::fmt(warm_hit_rate)
-            << ", cache speedup (serial): " << eval::fmt(cache_speedup)
-            << "\nacceptance (hit rate >= 0.5, not slower): "
-            << (cache_ok ? "PASS" : "FAIL")
             << "\n8-thread speedup: " << eval::fmt(best_8t_speedup)
             << "\nacceptance (>= 3x at 8 threads): ";
   if (!scaling_applicable)
@@ -212,7 +178,7 @@ int main(int argc, char** argv) {
     std::cout << (scaling_ok ? "PASS" : "FAIL");
   std::cout << '\n';
 
-  // --- SIMD lane sweep (serial, cache on): per-image speedup of each ISA
+  // --- SIMD lane sweep (serial): per-image speedup of each ISA
   // lane over forced scalar, plus the f32 numeric lane on the best ISA.
   // Every f64 lane must reproduce the reference bit for bit — the sweep is
   // a speed dial, never a numerics dial (DESIGN.md, "SIMD & numeric-lane
@@ -229,7 +195,6 @@ int main(int argc, char** argv) {
   {
     core::ImagingConfig cfg = base;
     cfg.num_threads = 1;
-    cfg.use_weight_cache = true;
     const auto time_lane = [&](const core::AcousticImager& imager) {
       (void)imager.construct_bands(batch.beeps[0],
                                    echoimage::units::Meters{0.7}, 0.0002,
@@ -285,7 +250,7 @@ int main(int argc, char** argv) {
                            eval::fmt(r.speedup_vs_scalar), "n/a"});
     }
     std::cerr << '\n';
-    std::cout << "\n-- SIMD lane sweep (serial, cache on) --\n";
+    std::cout << "\n-- SIMD lane sweep (serial) --\n";
     eval::print_table(
         std::cout,
         {"isa", "lane", "images/s", "speedup vs scalar", "bit-identical"},
@@ -295,7 +260,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Paper-scale entry: one 180x180 image at the paper's full band
-  // count, best lane + all hardware threads + warm cache. This is the
+  // count, best lane + all hardware threads. This is the
   // configuration the SIMD port exists to make tractable; one image per
   // numeric lane keeps the entry honest without dominating the smoke run.
   double paper_f64_s = 0.0, paper_f32_s = 0.0;
@@ -306,7 +271,6 @@ int main(int argc, char** argv) {
     cfg.grid_spacing_m = 0.01;  // paper Sec. V-C: 180x180 of 1 cm
     cfg.num_subbands = 5;
     cfg.num_threads = paper_threads;
-    cfg.use_weight_cache = true;
     const auto time_one = [&](const core::ImagingConfig& c) {
       const core::AcousticImager imager(c, geometry);
       const auto start = std::chrono::steady_clock::now();
@@ -339,10 +303,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
     json << "    {\"threads\": " << m.threads
-         << ", \"cache\": " << json_bool(m.cache)
          << ", \"images_per_sec\": " << m.images_per_sec
          << ", \"speedup_vs_serial\": " << m.speedup_vs_serial
-         << ", \"hit_rate\": " << m.hit_rate
          << ", \"bit_identical\": " << json_bool(m.bit_identical) << "}"
          << (i + 1 < results.size() ? "," : "") << "\n";
   }
@@ -361,7 +323,6 @@ int main(int argc, char** argv) {
        << ", \"seconds_per_image_f64\": " << paper_f64_s
        << ", \"seconds_per_image_f32\": " << paper_f32_s << "}\n  },\n";
   json << "  \"determinism_pass\": " << json_bool(deterministic)
-       << ",\n  \"cache_pass\": " << json_bool(cache_ok)
        << ",\n  \"lane_pass\": " << json_bool(lanes_ok)
        << ",\n  \"scaling_pass\": "
        << (scaling_applicable ? json_bool(scaling_ok) : "\"skipped\"")
@@ -373,7 +334,6 @@ int main(int argc, char** argv) {
   {
     core::ImagingConfig cfg = base;
     cfg.num_threads = 1;
-    cfg.use_weight_cache = true;
     core::AcousticImager imager(cfg, geometry);
     obs::ObservabilityConfig obs_cfg;
     obs_cfg.enabled = true;
@@ -389,8 +349,7 @@ int main(int argc, char** argv) {
               << "\nwrote BENCH_throughput_trace.json\n";
   }
 
-  return deterministic && cache_ok && lanes_ok &&
-                 (!scaling_applicable || scaling_ok)
+  return deterministic && lanes_ok && (!scaling_applicable || scaling_ok)
              ? 0
              : 1;
 }

@@ -1,4 +1,10 @@
-// Memoized beamformer weights for the imaging hot path.
+// Memoized beamformer weights, formerly on the imaging hot path.
+//
+// No longer used by core::AcousticImager, which solves every weight inline
+// (DESIGN.md, "Gate table"): at paper scale this cache missed most lookups
+// and each miss's exclusive lock serialised the sweep. It stays only while
+// external callers still read hit-rate accounting through
+// AcousticImager::weight_cache(), which now always returns null.
 //
 // Constructing one acoustic image steers the array to G x G grid
 // directions per spectral band; each MVDR steer costs a steering-vector
@@ -29,12 +35,13 @@
 //                                  and f64 imaging runs in separate entries
 //                                  keeps each lane's bit-replay honest.
 //
-// Determinism. Weights are computed by the caller and inserted verbatim;
-// a hit returns exactly the bits a recompute would produce (the weight
-// computation is deterministic), so cache-on and cache-off imaging are
-// bit-identical. Eviction is wholesale: when the entry cap is reached the
-// cache is flushed and re-seeded, so a lookup can never observe a
-// partially evicted (stale) state.
+// Determinism. Weights are computed by the caller and inserted verbatim,
+// and a hit returns exactly the inserted bits. With a nonzero distance
+// quantum those are the bits of the first distance seen in the quantum,
+// so a result can depend on request order: a capture at 0.7004 m replays
+// the weights of one imaged earlier at 0.7000 m. Eviction is wholesale:
+// when the entry cap is reached the cache is flushed and re-seeded, so a
+// lookup can never observe a partially evicted (stale) state.
 //
 // Thread safety: lookups take a shared lock, inserts an exclusive lock
 // on a runtime::sync::SharedMutex capability, so the entry map's lock

@@ -1,9 +1,11 @@
 #include "core/imaging.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "array/steering.hpp"
 #include "dsp/butterworth.hpp"
@@ -49,12 +51,6 @@ AcousticImager::AcousticImager(ImagingConfig config, ArrayGeometry geometry)
       echoimage::runtime::resolve_workers(config_.num_threads);
   if (threads > 1)
     pool_ = std::make_shared<echoimage::runtime::ThreadPool>(threads);
-  if (config_.use_weight_cache) {
-    echoimage::array::WeightCacheConfig cache_cfg;
-    cache_cfg.capacity = config_.weight_cache_capacity;
-    cache_cfg.distance_quantum = config_.weight_cache_quantum;
-    weight_cache_ = std::make_shared<echoimage::array::WeightCache>(cache_cfg);
-  }
   if (config_.grid_size == 0)
     throw std::invalid_argument("AcousticImager: grid_size must be positive");
   if (config_.grid_spacing_m <= 0.0)
@@ -91,8 +87,49 @@ void AcousticImager::attach_observability(
   if (obs_ == nullptr) return;
   images_counter_ = &obs_->metrics().counter("imaging.images");
   bands_counter_ = &obs_->metrics().counter("imaging.bands");
-  if (weight_cache_ != nullptr) weight_cache_->attach_metrics(obs_->metrics());
 }
+
+// A pixel's range gate depends only on its distance to the array, so a
+// plane has a few hundred distinct gates against G^2 pixels (32,400 at
+// paper scale): direction-free work runs once per distinct gate, on
+// exactly the (first, count) window the pixel would have passed.
+struct AcousticImager::GateTable {
+  GateTable(const ImagingConfig& config, double plane_distance_m,
+            double tau_direct_s, double tau_echo_s)
+      : pixel_gate(config.grid_size * config.grid_size) {
+    const double gate_extra = config.chirp.duration.value();  // echo smear
+    const double speed = config.speed_of_sound.value();
+    // Echoes from grid k: the compressed pulse peaks at the onset 2 Dk/c;
+    // without compression the raw chirp occupies a further chirp-length of
+    // samples. With echo anchoring the gate tracks the measured echo time,
+    // cancelling constant detection bias.
+    const bool anchored = config.anchor_to_echo && tau_echo_s >= 0.0;
+    std::map<std::pair<std::size_t, std::size_t>, std::uint32_t> seen;
+    for (std::size_t k = 0; k < pixel_gate.size(); ++k) {
+      const double dk = grid_center(config, k / config.grid_size,
+                                    k % config.grid_size, plane_distance_m)
+                            .norm();
+      const double onset =
+          anchored ? tau_echo_s + 2.0 * (dk - plane_distance_m) / speed
+                   : tau_direct_s + 2.0 * dk / speed;
+      const double t0 = onset - config.gate_halfwidth_s;
+      const double t1 = onset + config.gate_halfwidth_s +
+                        (config.pulse_compression ? 0.0 : gate_extra);
+      const std::size_t first = echoimage::dsp::seconds_to_samples(
+          std::max(0.0, t0), config.sample_rate);
+      const std::size_t last = echoimage::dsp::seconds_to_samples(
+          std::max(0.0, t1), config.sample_rate);
+      const auto [it, fresh] =
+          seen.try_emplace({first, last > first ? last - first : 0},
+                           static_cast<std::uint32_t>(gates.size()));
+      if (fresh) gates.push_back(it->first);
+      pixel_gate[k] = it->second;
+    }
+  }
+
+  std::vector<std::pair<std::size_t, std::size_t>> gates;  ///< (first, count)
+  std::vector<std::uint32_t> pixel_gate;  ///< pixel -> index into gates
+};
 
 void AcousticImager::prepare(const MultiChannelSignal& beep,
                              const MultiChannelSignal& noise_only,
@@ -128,12 +165,11 @@ void AcousticImager::prepare(const MultiChannelSignal& beep,
 void AcousticImager::accumulate_band(
     std::size_t band, const MultiChannelSignal& filtered,
     const MultiChannelSignal& noise_f, bool have_noise,
-    double plane_distance_m, double tau_direct_s, double tau_echo_s,
+    double plane_distance_m, const GateTable& gates,
     const echoimage::array::ChannelMask& active_mask, Matrix2D& image) const {
   const obs::Tracer* const tracer = obs::Observability::tracer_of(obs_.get());
   EI_SPAN(tracer, "imaging.band", band);
   if (bands_counter_ != nullptr) bands_counter_->add();
-  const double gate_extra = config_.chirp.duration.value();  // echo smear
 
   // Subband isolation (skipped when only one band is configured).
   const MultiChannelSignal* band_signal = &filtered;
@@ -165,80 +201,42 @@ void AcousticImager::accumulate_band(
       a = echoimage::dsp::matched_filter_complex(a, subband_templates_[band]);
     channels.push_back(std::move(a));
   }
-  // The fingerprint is taken before the beamformer's internal diagonal
-  // loading; it only needs to identify the noise field, not mirror it.
-  const std::uint64_t cov_fp = echoimage::array::WeightCache::fingerprint(cov);
   const NarrowbandBeamformer bf(std::move(channels), config_.sample_rate,
                                 units::Hertz{subband_centers_[band]}, geometry_,
                                 cov, config_.speed_of_sound, active_mask,
                                 config_.numeric_lane);
 
-  echoimage::array::WeightCache* const cache = weight_cache_.get();
-  echoimage::array::WeightKey key;
-  if (cache != nullptr) {
-    key.band = static_cast<std::uint32_t>(band);
-    key.distance_q = cache->quantize_distance(units::Meters{plane_distance_m});
-    key.speed_bits = std::bit_cast<std::uint64_t>(config_.speed_of_sound.value());
-    key.mask_bits = echoimage::array::WeightCache::mask_bits(
-        active_mask, filtered.num_channels());
-    key.cov_fingerprint = cov_fp;
-    key.mvdr = config_.use_mvdr;
-    key.lane = static_cast<std::uint8_t>(config_.numeric_lane);
-  }
+  const double mix = std::clamp(config_.incoherent_mix, 0.0, 1.0);
+  std::vector<double> incoherent(gates.gates.size(), 0.0);
+  if (mix > 0.0)
+    for (std::size_t g = 0; g < gates.gates.size(); ++g)
+      incoherent[g] =
+          bf.incoherent_energy(gates.gates[g].first, gates.gates[g].second);
 
   // Per-grid loop: every grid writes its own pixel and bands accumulate in
   // a fixed outer order, so the image is bit-identical for any worker
-  // count (and with the weight cache on or off — a hit replays the exact
-  // bits a recompute would produce).
+  // count.
   struct PixelScratch {
     std::vector<echoimage::dsp::Complex> steering;
     std::vector<echoimage::dsp::Complex> weights;
   };
   echoimage::runtime::ScratchArena<PixelScratch> arena(
       pool_ != nullptr ? pool_->num_workers() : 1);
-  const double mix = std::clamp(config_.incoherent_mix, 0.0, 1.0);
-  const double speed = config_.speed_of_sound.value();
   std::vector<double>& pixels = image.data();
 
   const auto grid_energy = [&](std::size_t k, std::size_t worker) {
-    const std::size_t row = k / config_.grid_size;
-    const std::size_t col = k % config_.grid_size;
-    const echoimage::array::Vec3 p =
-        grid_center(config_, row, col, plane_distance_m);
-    const double dk = p.norm();
-    // Echoes from grid k: the compressed pulse peaks at the onset
-    // 2 Dk/c; without compression the raw chirp occupies a further
-    // chirp-length of samples. With echo anchoring the gate tracks the
-    // measured echo time, cancelling constant detection bias.
-    const bool anchored = config_.anchor_to_echo && tau_echo_s >= 0.0;
-    const double onset =
-        anchored ? tau_echo_s + 2.0 * (dk - plane_distance_m) / speed
-                 : tau_direct_s + 2.0 * dk / speed;
-    const double t0 = onset - config_.gate_halfwidth_s;
-    const double t1 = onset + config_.gate_halfwidth_s +
-                      (config_.pulse_compression ? 0.0 : gate_extra);
-    const std::size_t first = echoimage::dsp::seconds_to_samples(
-        std::max(0.0, t0), config_.sample_rate);
-    const std::size_t last = echoimage::dsp::seconds_to_samples(
-        std::max(0.0, t1), config_.sample_rate);
-    const std::size_t count = last > first ? last - first : 0;
+    const std::uint32_t g = gates.pixel_gate[k];
     double e = 0.0;
     if (mix < 1.0) {
       PixelScratch& s = arena.local(worker);
-      const Direction dir = echoimage::array::direction_to_point(p);
-      if (cache != nullptr) {
-        echoimage::array::WeightKey k_key = key;
-        k_key.grid_index = static_cast<std::uint32_t>(k);
-        if (!cache->lookup(k_key, s.weights)) {
-          bf.compute_weights(dir, config_.use_mvdr, s.steering, s.weights);
-          cache->insert(k_key, s.weights);
-        }
-      } else {
-        bf.compute_weights(dir, config_.use_mvdr, s.steering, s.weights);
-      }
-      e += (1.0 - mix) * bf.steered_energy(s.weights, first, count);
+      const Direction dir = echoimage::array::direction_to_point(grid_center(
+          config_, k / config_.grid_size, k % config_.grid_size,
+          plane_distance_m));
+      bf.compute_weights(dir, config_.use_mvdr, s.steering, s.weights);
+      e += (1.0 - mix) * bf.steered_energy(s.weights, gates.gates[g].first,
+                                           gates.gates[g].second);
     }
-    if (mix > 0.0) e += mix * bf.incoherent_energy(first, count);
+    if (mix > 0.0) e += mix * incoherent[g];
     pixels[k] += e;
   };
   // One task per grid row — a fixed grain, so the recorded
@@ -271,11 +269,13 @@ Matrix2D AcousticImager::construct(
   MultiChannelSignal filtered, noise_f;
   bool have_noise = false;
   prepare(beep, noise_only, tau_direct_s, filtered, noise_f, have_noise);
+  const GateTable gates(config_, plane_distance.value(), tau_direct_s,
+                        tau_echo_s);
 
   Matrix2D image(config_.grid_size, config_.grid_size);
   for (std::size_t band = 0; band < config_.num_subbands; ++band)
     accumulate_band(band, filtered, noise_f, have_noise, plane_distance.value(),
-                    tau_direct_s, tau_echo_s, active_mask, image);
+                    gates, active_mask, image);
   // L2 norm of the gated segment(s): sqrt of the (compounded) energy.
   for (double& v : image.data()) v = std::sqrt(v);
   return image;
@@ -292,13 +292,15 @@ std::vector<Matrix2D> AcousticImager::construct_bands(
   MultiChannelSignal filtered, noise_f;
   bool have_noise = false;
   prepare(beep, noise_only, tau_direct_s, filtered, noise_f, have_noise);
+  const GateTable gates(config_, plane_distance.value(), tau_direct_s,
+                        tau_echo_s);
 
   std::vector<Matrix2D> bands;
   bands.reserve(config_.num_subbands);
   for (std::size_t band = 0; band < config_.num_subbands; ++band) {
     Matrix2D image(config_.grid_size, config_.grid_size);
     accumulate_band(band, filtered, noise_f, have_noise, plane_distance.value(),
-                    tau_direct_s, tau_echo_s, active_mask, image);
+                    gates, active_mask, image);
     for (double& v : image.data()) v = std::sqrt(v);
     bands.push_back(std::move(image));
   }

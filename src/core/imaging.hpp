@@ -13,13 +13,16 @@
 #include <memory>
 
 #include "array/beamformer.hpp"
-#include "array/weight_cache.hpp"
 #include "core/distance.hpp"
 #include "dsp/biquad.hpp"
 #include "ml/tensor.hpp"
 #include "obs/observability.hpp"
 #include "runtime/thread_pool.hpp"
 #include "simd/isa.hpp"
+
+namespace echoimage::array {
+class WeightCache;
+}
 
 namespace echoimage::core {
 
@@ -79,18 +82,11 @@ struct ImagingConfig {
   /// slots and bands accumulate in a fixed order (see DESIGN.md,
   /// "Threading model").
   std::size_t num_threads = 1;
-  /// Memoize steering + MVDR weight solves across beeps and bands (see
-  /// array/weight_cache.hpp). Numerically free: a hit returns exactly the
-  /// bits a recompute would produce.
-  bool use_weight_cache = true;
-  /// Plane-distance quantum of the cache key (<= 0: exact bit pattern).
-  units::Meters weight_cache_quantum{1e-3};
-  std::size_t weight_cache_capacity = 1u << 18;
   /// Numeric lane of the beamformer energy kernels. kF64 (default) is
   /// bit-identical to the historical pipeline on every ISA lane; kF32
   /// halves the energy-core bandwidth at a pinned relative-error bound
   /// (DESIGN.md, "SIMD & numeric-lane model"). Weight solves, filters and
-  /// FFTs stay f64 either way; cache entries are keyed per lane.
+  /// FFTs stay f64 either way.
   echoimage::simd::NumericLane numeric_lane = echoimage::simd::NumericLane::kF64;
 };
 
@@ -119,15 +115,14 @@ class AcousticImager {
     return pool_;
   }
 
-  /// The weight cache (null when disabled); exposes hit/miss accounting
-  /// for benches and tests.
+  /// Always null: the imager solves every weight inline and keeps no
+  /// weight cache. Kept for callers that still report cache accounting.
   [[nodiscard]] const echoimage::array::WeightCache* weight_cache() const {
-    return weight_cache_.get();
+    return nullptr;
   }
 
   /// Wire this imager into the system observability bundle: per-band and
-  /// per-grid-row spans, image/band counters, and the weight cache's
-  /// accounting rebound into `obs->metrics()`. Null (the default) keeps
+  /// per-grid-row spans and image/band counters. Null (the default) keeps
   /// every site a dead branch. Call before first use.
   void attach_observability(std::shared_ptr<const obs::Observability> obs);
 
@@ -155,12 +150,13 @@ class AcousticImager {
       const echoimage::array::ChannelMask& active_mask = {}) const;
 
  private:
+  /// Every pixel's range gate for one plane and time anchor (imaging.cpp).
+  struct GateTable;
   /// Energy image of one subband, accumulated into `image`.
   void accumulate_band(std::size_t band,
                        const MultiChannelSignal& filtered,
                        const MultiChannelSignal& noise_f, bool have_noise,
-                       double plane_distance_m, double tau_direct_s,
-                       double tau_echo_s,
+                       double plane_distance_m, const GateTable& gates,
                        const echoimage::array::ChannelMask& active_mask,
                        Matrix2D& image) const;
   /// Shared front end: band-pass + direct-path suppression + noise filter.
@@ -172,10 +168,8 @@ class AcousticImager {
   ImagingConfig config_;
   ArrayGeometry geometry_;
   /// Shared across copies of this imager: the pool serializes overlapping
-  /// regions internally, and cache entries are copy-agnostic (the config,
-  /// and so the keys, are identical).
+  /// regions internally.
   std::shared_ptr<echoimage::runtime::ThreadPool> pool_;
-  std::shared_ptr<echoimage::array::WeightCache> weight_cache_;
   std::shared_ptr<const obs::Observability> obs_;
   const obs::Counter* images_counter_ = nullptr;
   const obs::Counter* bands_counter_ = nullptr;

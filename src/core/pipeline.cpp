@@ -54,8 +54,7 @@ std::string SystemConfig::describe() const {
   os << "sample_rate: " << sample_rate << " Hz\n"
      << "speed of sound: " << speed_of_sound.value() << " m/s\n"
      << "threads: " << num_threads << (num_threads == 0 ? " (auto)" : "")
-     << ", weight cache "
-     << (imaging.use_weight_cache ? "on" : "off") << "\n"
+     << "\n"
      << "simd: " << simd_isa << " (active "
      << echoimage::simd::isa_name(echoimage::simd::active_isa())
      << "), numeric lane "

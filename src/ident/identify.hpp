@@ -10,8 +10,10 @@
 //   Stage 2 (verify): run the expensive evidence only on the shortlist:
 //     each candidate's own SVDD spoofer gate + calibrated verifier
 //     (TemplateRecord's 1:1 authenticator, LRU-cached with exact hit/miss
-//     accounting). The winner is the accepted candidate with the best
-//     SVDD score; the shortlist order breaks exact ties.
+//     accounting). The winner is the nearest accepted candidate: the
+//     first one in shortlist (prefilter distance) order whose verifier
+//     accepts. SVDD margins are normalized per user, so they do not rank
+//     candidates against each other.
 //
 // Honesty contract (the store's quarantine semantics, extended to 1:N):
 // a quarantined shard removes its users from the index, so a probe of

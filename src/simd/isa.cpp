@@ -9,15 +9,12 @@ namespace echoimage::simd {
 
 namespace {
 
-// Selection state. Plain globals by design (src/simd may not reach for
-// std::atomic — echolint R2 — and does not need to): overrides are applied
-// at startup or from single-threaded test sections, and the pool's task
-// handoff publishes the write before any worker reads it.
-bool g_override_set = false;
-Isa g_override = Isa::kScalar;
-bool g_env_read = false;
-bool g_env_set = false;
-Isa g_env_isa = Isa::kScalar;
+// The forced lane's table (null = no override). A plain global by design
+// (src/simd may not reach for std::atomic — echolint R2 — and does not
+// need to): overrides are applied at startup or from single-threaded test
+// sections, and the pool's task handoff publishes the write before any
+// worker reads it.
+const KernelTable* g_override = nullptr;
 
 const KernelTable* table_or_null(Isa isa) {
   switch (isa) {
@@ -33,19 +30,20 @@ const KernelTable* table_or_null(Isa isa) {
   return nullptr;
 }
 
-Isa env_or_best() {
-  if (!g_env_read) {
-    g_env_read = true;
-    if (const char* env = std::getenv("ECHOIMAGE_SIMD")) {
-      const Isa parsed = parse_isa(env);  // throws on junk: fail loudly
-      if (!isa_supported(parsed))
-        throw std::invalid_argument(
-            std::string("ECHOIMAGE_SIMD requests unsupported lane: ") + env);
-      g_env_set = true;
-      g_env_isa = parsed;
-    }
-  }
-  return g_env_set ? g_env_isa : best_isa();
+// The lane used when nothing is forced: ECHOIMAGE_SIMD, else the best
+// supported lane. Resolved once: a function-local static is initialized
+// exactly once even when the first callers are concurrent pool workers.
+Isa ambient_isa() {
+  static const Isa ambient = [] {
+    const char* env = std::getenv("ECHOIMAGE_SIMD");
+    if (env == nullptr) return best_isa();
+    const Isa parsed = parse_isa(env);  // throws on junk: fail loudly
+    if (!isa_supported(parsed))
+      throw std::invalid_argument(
+          std::string("ECHOIMAGE_SIMD requests unsupported lane: ") + env);
+    return parsed;
+  }();
+  return ambient;
 }
 
 }  // namespace
@@ -119,8 +117,7 @@ Isa best_isa() {
 }
 
 Isa active_isa() {
-  if (g_override_set) return g_override;
-  return env_or_best();
+  return g_override != nullptr ? g_override->isa : ambient_isa();
 }
 
 void set_isa_override(Isa isa) {
@@ -128,27 +125,26 @@ void set_isa_override(Isa isa) {
     throw std::invalid_argument(std::string("cannot force SIMD lane '") +
                                 isa_name(isa) +
                                 "': not supported on this machine/build");
-  g_override_set = true;
-  g_override = isa;
+  g_override = table_or_null(isa);
 }
 
-void clear_isa_override() { g_override_set = false; }
+void clear_isa_override() { g_override = nullptr; }
 
 ScopedIsa::ScopedIsa(Isa isa)
-    : had_override_(g_override_set), previous_(g_override) {
+    : had_override_(g_override != nullptr),
+      previous_(had_override_ ? g_override->isa : Isa::kScalar) {
   set_isa_override(isa);
 }
 
 ScopedIsa::~ScopedIsa() {
-  if (had_override_) {
-    g_override_set = true;
-    g_override = previous_;
-  } else {
-    g_override_set = false;
-  }
+  g_override = had_override_ ? table_or_null(previous_) : nullptr;
 }
 
-const KernelTable& kernels() { return kernels_for(active_isa()); }
+const KernelTable& kernels() {
+  if (g_override != nullptr) return *g_override;
+  static const KernelTable& ambient = kernels_for(ambient_isa());
+  return ambient;
+}
 
 const KernelTable& kernels_for(Isa isa) {
   const KernelTable* t = isa_supported(isa) ? table_or_null(isa) : nullptr;

@@ -17,10 +17,12 @@
 // *numeric lane* with a pinned error bound (see DESIGN.md, "SIMD &
 // numeric-lane model").
 //
-// Thread safety: the override is a plain global written by
-// set_isa_override(); apply it at startup or from a single-threaded test
-// section before parallel work is launched (the pool's task handoff
-// publishes the write to the workers).
+// Thread safety: the ambient lane (ECHOIMAGE_SIMD, else the best lane) is
+// resolved once, in a function-local static, so concurrent first callers
+// are safe. The override is a plain global written by set_isa_override();
+// apply it at startup or from a single-threaded test section before
+// parallel work is launched (the pool's task handoff publishes the write
+// to the workers).
 #pragma once
 
 #include <string>
@@ -76,7 +78,8 @@ enum class NumericLane {
 /// clear_isa_override() to return to automatic selection.
 void set_isa_override(Isa isa);
 
-/// Drop any override (explicit or env-derived): back to best_isa().
+/// Drop any explicit override: back to the ambient lane (ECHOIMAGE_SIMD,
+/// else best_isa()).
 void clear_isa_override();
 
 /// RAII lane forcing for tests: forces `isa` on construction, restores the
