@@ -1,9 +1,9 @@
-// Micro-benchmarks of the vectorized DSP kernels, swept across every ISA
-// lane this machine supports (forced via simd::ScopedIsa), with the
-// scalar lane as the baseline. For each kernel x lane the harness reports
-// ns/op and the speedup over scalar, and cross-checks that the lane
-// reproduced the scalar output bit for bit — a benchmark that quietly
-// measured different numbers would be worthless.
+// Micro-benchmarks of the vectorized DSP kernels the imager runs per beep,
+// swept across every ISA lane this machine supports (forced via
+// simd::ScopedIsa), with the scalar lane as the baseline. For each kernel x
+// lane the harness reports ns/op and the speedup over scalar, and
+// cross-checks that the lane reproduced the scalar output bit for bit — a
+// benchmark that quietly measured different numbers would be worthless.
 //
 // Writes BENCH_micro_dsp.json into the working directory (copied to the
 // repo root by tools/run_bench_smoke.sh). `--smoke` shrinks repetitions.
@@ -98,38 +98,32 @@ std::vector<Kernel> make_kernels() {
                        }});
   }
 
-  // FFT, Bluestein path (arbitrary capture lengths).
+  // Zero-phase filtering as the imager runs it: the probing band-pass over
+  // all six channels lockstepped (once per beep), then the order-2 subband
+  // filter over one channel (once per band and channel, on the pool).
   {
-    const std::size_t n = 2880;
-    const dsp::ComplexSignal x(n, Complex(1.0, 0.5));
-    kernels.push_back({"fft_bluestein", n, [x]() {
-                         const auto y = dsp::fft(x);
-                         return digest(y.data(), y.size());
-                       }});
-  }
-
-  // Zero-phase band-pass, single channel (the seed scalar path) and the
-  // frame-interleaved multi-channel kernel the imaging front end uses.
-  {
-    const auto f = dsp::butterworth_bandpass(4, 2000.0, 3000.0, 48000.0);
-    const dsp::Signal x = random_signal(2880, 1);
-    kernels.push_back({"filtfilt_1ch", 2880, [f, x]() {
-                         const auto y = f.filtfilt(x);
-                         return digest(y.data(), y.size());
-                       }});
+    const auto bandpass =
+        dsp::butterworth_bandpass(4, 2000.0, 3000.0, 48000.0);
     std::vector<dsp::Signal> chans;
     for (unsigned c = 0; c < 6; ++c)
       chans.push_back(random_signal(2880, 10 + c));
-    kernels.push_back({"filtfilt_6ch", 6 * 2880, [f, chans]() {
-                         const auto y = f.filtfilt_multi(chans);
+    kernels.push_back({"filtfilt_6ch", 6 * 2880, [bandpass, chans]() {
+                         const auto y = bandpass.filtfilt_multi(chans);
                          std::uint64_t h = 0;
                          for (const auto& ch : y)
                            h ^= digest(ch.data(), ch.size());
                          return h;
                        }});
+    const auto subband =
+        dsp::butterworth_bandpass(2, 2000.0, 2200.0, 48000.0);
+    const dsp::Signal x = random_signal(2880, 1);
+    kernels.push_back({"subband_filtfilt_1ch", 2880, [subband, x]() {
+                         const auto y = subband.filtfilt(x);
+                         return digest(y.data(), y.size());
+                       }});
   }
 
-  // Hilbert envelope front end.
+  // Analytic signal of one subband channel.
   {
     const dsp::Signal x = random_signal(2880, 2);
     kernels.push_back({"analytic_signal", 2880, [x]() {
@@ -138,13 +132,17 @@ std::vector<Kernel> make_kernels() {
                        }});
   }
 
-  // Matched filter (pulse compression) against the chirp template.
+  // Pulse compression against a template spectrum computed once per
+  // capture, as the imager runs it for every channel of every beep.
   {
     const dsp::Signal x = random_signal(2880, 3);
     const auto a = dsp::analytic_signal(x);
     const auto tmpl = dsp::Chirp(dsp::ChirpParams{}).sample(48000.0);
-    kernels.push_back({"matched_filter_envelope", 2880, [a, tmpl]() {
-                         const auto y = dsp::matched_filter_envelope(a, tmpl);
+    const auto spectrum = dsp::template_spectrum(
+        tmpl, dsp::matched_filter_fft_length(a.size(), tmpl.size()));
+    kernels.push_back({"matched_filter_spectrum", 2880, [a, spectrum]() {
+                         const auto y =
+                             dsp::matched_filter_complex(a, spectrum);
                          return digest(y.data(), y.size());
                        }});
   }

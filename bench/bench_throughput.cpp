@@ -1,6 +1,7 @@
-// Imaging-engine throughput: images/sec across thread counts, plus the
-// determinism spot-check that makes the parallel numbers trustworthy
-// (every configuration must reproduce the serial image bit for bit).
+// Imaging-engine throughput: images/sec and CPU-seconds per wall-second
+// across thread counts, plus the determinism spot-check that makes the
+// parallel numbers trustworthy (every configuration must reproduce the
+// serial image bit for bit).
 //
 // The workload mirrors deployment: a batch of beeps from one stance shares
 // a single estimated plane distance.
@@ -22,6 +23,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -43,8 +45,16 @@ struct Measurement {
   std::size_t threads = 1;
   double images_per_sec = 0.0;
   double speedup_vs_serial = 0.0;  ///< vs threads = 1
+  /// Process CPU-seconds per wall-second over the timed loop: how many
+  /// workers were busy on average.
+  double cpu_per_wall = 0.0;
   bool bit_identical = false;
 };
+
+/// CPU time of the whole process (all threads), in seconds.
+double process_cpu_s() {
+  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+}
 
 bool bitwise_equal(const std::vector<core::Matrix2D>& a,
                    const std::vector<core::Matrix2D>& b) {
@@ -121,6 +131,7 @@ int main(int argc, char** argv) {
         batch.beeps[0], echoimage::units::Meters{0.7}, 0.0002,
         batch.noise_only);
 
+    const double cpu_start = process_cpu_s();
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t r = 0; r < kImages; ++r)
       image = imager.construct_bands(batch.beeps[r % batch.beeps.size()],
@@ -128,6 +139,7 @@ int main(int argc, char** argv) {
                                      batch.noise_only);
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
+    const double cpu_s = process_cpu_s() - cpu_start;
     // Compare against the reference on the reference's beep (the timed
     // loop cycles through the batch, so `image` holds a different one).
     image = imager.construct_bands(batch.beeps[0],
@@ -141,10 +153,11 @@ int main(int argc, char** argv) {
     if (threads == 1) serial_rate = m.images_per_sec;
     m.speedup_vs_serial =
         serial_rate > 0.0 ? m.images_per_sec / serial_rate : 0.0;
+    m.cpu_per_wall = cpu_s / std::max(1e-9, elapsed.count());
     m.bit_identical = bitwise_equal(image, reference);
     results.push_back(m);
     rows.push_back({std::to_string(threads), eval::fmt(m.images_per_sec),
-                    eval::fmt(m.speedup_vs_serial),
+                    eval::fmt(m.speedup_vs_serial), eval::fmt(m.cpu_per_wall),
                     m.bit_identical ? "yes" : "NO"});
     std::cerr << '.' << std::flush;
   }
@@ -152,7 +165,8 @@ int main(int argc, char** argv) {
 
   std::cout << '\n';
   eval::print_table(std::cout,
-                    {"threads", "images/s", "speedup", "bit-identical"},
+                    {"threads", "images/s", "speedup", "cpu/wall",
+                     "bit-identical"},
                     rows);
 
   // --- Acceptance ---
@@ -305,6 +319,7 @@ int main(int argc, char** argv) {
     json << "    {\"threads\": " << m.threads
          << ", \"images_per_sec\": " << m.images_per_sec
          << ", \"speedup_vs_serial\": " << m.speedup_vs_serial
+         << ", \"cpu_per_wall\": " << m.cpu_per_wall
          << ", \"bit_identical\": " << json_bool(m.bit_identical) << "}"
          << (i + 1 < results.size() ? "," : "") << "\n";
   }

@@ -48,12 +48,8 @@ std::vector<Matrix2D> DataAugmenter::synthesize(
   const auto project = [&](std::size_t i, std::size_t) {
     out[i] = transform(image, from_m, target_distances_m[i]);
   };
-  if (pool_ != nullptr) {
-    echoimage::runtime::parallel_for(*pool_, target_distances_m.size(),
-                                     project);
-  } else {
-    for (std::size_t i = 0; i < target_distances_m.size(); ++i) project(i, 0);
-  }
+  echoimage::runtime::parallel_for(pool_.get(), target_distances_m.size(),
+                                   project);
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -17,6 +18,7 @@ namespace echoimage::core {
 
 using echoimage::array::Direction;
 using echoimage::array::NarrowbandBeamformer;
+using echoimage::dsp::ComplexSignal;
 
 namespace {
 
@@ -89,57 +91,115 @@ void AcousticImager::attach_observability(
   bands_counter_ = &obs_->metrics().counter("imaging.bands");
 }
 
-// A pixel's range gate depends only on its distance to the array, so a
-// plane has a few hundred distinct gates against G^2 pixels (32,400 at
-// paper scale): direction-free work runs once per distinct gate, on
-// exactly the (first, count) window the pixel would have passed.
-struct AcousticImager::GateTable {
-  GateTable(const ImagingConfig& config, double plane_distance_m,
-            double tau_direct_s, double tau_echo_s)
-      : pixel_gate(config.grid_size * config.grid_size) {
-    const double gate_extra = config.chirp.duration.value();  // echo smear
-    const double speed = config.speed_of_sound.value();
-    // Echoes from grid k: the compressed pulse peaks at the onset 2 Dk/c;
-    // without compression the raw chirp occupies a further chirp-length of
-    // samples. With echo anchoring the gate tracks the measured echo time,
-    // cancelling constant detection bias.
-    const bool anchored = config.anchor_to_echo && tau_echo_s >= 0.0;
-    std::map<std::pair<std::size_t, std::size_t>, std::uint32_t> seen;
-    for (std::size_t k = 0; k < pixel_gate.size(); ++k) {
-      const double dk = grid_center(config, k / config.grid_size,
-                                    k % config.grid_size, plane_distance_m)
-                            .norm();
-      const double onset =
-          anchored ? tau_echo_s + 2.0 * (dk - plane_distance_m) / speed
-                   : tau_direct_s + 2.0 * dk / speed;
-      const double t0 = onset - config.gate_halfwidth_s;
-      const double t1 = onset + config.gate_halfwidth_s +
-                        (config.pulse_compression ? 0.0 : gate_extra);
-      const std::size_t first = echoimage::dsp::seconds_to_samples(
-          std::max(0.0, t0), config.sample_rate);
-      const std::size_t last = echoimage::dsp::seconds_to_samples(
-          std::max(0.0, t1), config.sample_rate);
-      const auto [it, fresh] =
-          seen.try_emplace({first, last > first ? last - first : 0},
-                           static_cast<std::uint32_t>(gates.size()));
-      if (fresh) gates.push_back(it->first);
-      pixel_gate[k] = it->second;
+AcousticImager::GateTable::GateTable(const ImagingConfig& config,
+                                     double plane_distance_m,
+                                     double tau_direct_s, double tau_echo_s)
+    : pixel_gate(config.grid_size * config.grid_size) {
+  const double gate_extra = config.chirp.duration.value();  // echo smear
+  const double speed = config.speed_of_sound.value();
+  // Echoes from grid k: the compressed pulse peaks at the onset 2 Dk/c;
+  // without compression the raw chirp occupies a further chirp-length of
+  // samples. With echo anchoring the gate tracks the measured echo time,
+  // cancelling constant detection bias.
+  const bool anchored = config.anchor_to_echo && tau_echo_s >= 0.0;
+  std::map<std::pair<std::size_t, std::size_t>, std::uint32_t> seen;
+  for (std::size_t k = 0; k < pixel_gate.size(); ++k) {
+    const double dk = grid_center(config, k / config.grid_size,
+                                  k % config.grid_size, plane_distance_m)
+                          .norm();
+    const double onset =
+        anchored ? tau_echo_s + 2.0 * (dk - plane_distance_m) / speed
+                 : tau_direct_s + 2.0 * dk / speed;
+    const double t0 = onset - config.gate_halfwidth_s;
+    const double t1 = onset + config.gate_halfwidth_s +
+                      (config.pulse_compression ? 0.0 : gate_extra);
+    const std::size_t first = echoimage::dsp::seconds_to_samples(
+        std::max(0.0, t0), config.sample_rate);
+    const std::size_t last = echoimage::dsp::seconds_to_samples(
+        std::max(0.0, t1), config.sample_rate);
+    const auto [it, fresh] =
+        seen.try_emplace({first, last > first ? last - first : 0},
+                         static_cast<std::uint32_t>(gates.size()));
+    if (fresh) gates.push_back(it->first);
+    pixel_gate[k] = it->second;
+  }
+  window_first = gates.front().first;
+  for (const auto& [first, count] : gates) {
+    window_first = std::min(window_first, first);
+    window_last = std::max(window_last, first + count);
+  }
+}
+
+std::size_t AcousticImager::fft_length_for(std::size_t beep_length) const {
+  const std::size_t tmpl = subband_templates_.front().size();
+  return beep_length == 0 || tmpl == 0
+             ? 0
+             : echoimage::dsp::matched_filter_fft_length(beep_length, tmpl);
+}
+
+std::vector<ComplexSignal> AcousticImager::template_spectra(
+    std::size_t fft_length) const {
+  // An empty spectrum makes the matched filter output zeros, as an empty
+  // template or beep does.
+  std::vector<ComplexSignal> spectra(config_.num_subbands);
+  if (fft_length == 0) return spectra;
+  for (std::size_t band = 0; band < spectra.size(); ++band)
+    spectra[band] = echoimage::dsp::template_spectrum(subband_templates_[band],
+                                                      fft_length);
+  return spectra;
+}
+
+AcousticImager::CaptureContext AcousticImager::capture_context(
+    units::Meters plane_distance, std::size_t beep_length,
+    double tau_direct_s, const MultiChannelSignal& noise_only,
+    double tau_echo_s, const echoimage::array::ChannelMask& active_mask) const {
+  if (plane_distance.value() <= 0.0)
+    throw std::invalid_argument("AcousticImager: plane distance must be > 0");
+  EI_SPAN(obs::Observability::tracer_of(obs_.get()), "imaging.capture");
+  CaptureContext context(
+      GateTable(config_, plane_distance.value(), tau_direct_s, tau_echo_s));
+  context.plane_distance_m_ = plane_distance.value();
+  context.tau_direct_s_ = tau_direct_s;
+  context.active_mask_ = active_mask;
+
+  // Noise path, band after band on the calling thread: each band's
+  // temporaries are a filtered copy of the whole noise capture, so running
+  // bands concurrently would multiply the peak memory for little time.
+  const std::size_t mics = geometry_.num_mics();
+  const bool have_noise =
+      noise_only.num_channels() == mics && noise_only.length() > 0;
+  MultiChannelSignal noise_f;
+  if (have_noise)
+    noise_f.channels = bandpass_filter_.filtfilt_multi(noise_only.channels);
+  context.covariances_.reserve(config_.num_subbands);
+  for (std::size_t band = 0; band < config_.num_subbands; ++band) {
+    if (!have_noise) {
+      context.covariances_.push_back(
+          echoimage::array::white_noise_covariance(mics));
+    } else if (config_.num_subbands > 1) {
+      MultiChannelSignal band_noise;
+      band_noise.channels =
+          subband_filters_[band].filtfilt_multi(noise_f.channels);
+      context.covariances_.push_back(
+          echoimage::array::noise_covariance_of(band_noise));
+    } else {
+      context.covariances_.push_back(
+          echoimage::array::noise_covariance_of(noise_f));
     }
   }
+  if (config_.pulse_compression) {
+    context.fft_length_ = fft_length_for(beep_length);
+    context.spectra_ = template_spectra(context.fft_length_);
+  }
+  return context;
+}
 
-  std::vector<std::pair<std::size_t, std::size_t>> gates;  ///< (first, count)
-  std::vector<std::uint32_t> pixel_gate;  ///< pixel -> index into gates
-};
-
-void AcousticImager::prepare(const MultiChannelSignal& beep,
-                             const MultiChannelSignal& noise_only,
-                             double tau_direct_s,
-                             MultiChannelSignal& filtered,
-                             MultiChannelSignal& noise_f,
-                             bool& have_noise) const {
+MultiChannelSignal AcousticImager::prepare(const MultiChannelSignal& beep,
+                                           double tau_direct_s) const {
   EI_SPAN(obs::Observability::tracer_of(obs_.get()), "imaging.prepare");
   // Band-pass all channels to the probing band, lockstepped across
   // channels (bit-identical to per-channel filtfilt).
+  MultiChannelSignal filtered;
   filtered.channels = bandpass_filter_.filtfilt_multi(beep.channels);
 
   // Self-interference removal: zero the direct speaker->mic chirp region
@@ -154,129 +214,160 @@ void AcousticImager::prepare(const MultiChannelSignal& beep,
       std::fill(ch.begin(), ch.begin() + static_cast<std::ptrdiff_t>(n), 0.0);
     }
   }
-
-  have_noise = noise_only.num_channels() == filtered.num_channels() &&
-               noise_only.length() > 0;
-  noise_f.channels.clear();
-  if (have_noise)
-    noise_f.channels = bandpass_filter_.filtfilt_multi(noise_only.channels);
+  return filtered;
 }
 
-void AcousticImager::accumulate_band(
-    std::size_t band, const MultiChannelSignal& filtered,
-    const MultiChannelSignal& noise_f, bool have_noise,
-    double plane_distance_m, const GateTable& gates,
-    const echoimage::array::ChannelMask& active_mask, Matrix2D& image) const {
+std::vector<Matrix2D> AcousticImager::band_energies(
+    const MultiChannelSignal& beep, const CaptureContext& context) const {
   const obs::Tracer* const tracer = obs::Observability::tracer_of(obs_.get());
-  EI_SPAN(tracer, "imaging.band", band);
-  if (bands_counter_ != nullptr) bands_counter_->add();
+  EI_SPAN_NAMED(construct_span, tracer, "imaging.construct");
+  if (images_counter_ != nullptr) images_counter_->add();
+  if (!beep.is_rectangular())
+    throw std::invalid_argument("AcousticImager: ragged multichannel beep");
+  const MultiChannelSignal filtered = prepare(beep, context.tau_direct_s_);
+  const std::size_t num_bands = config_.num_subbands;
+  const std::size_t mics = filtered.num_channels();
+  const std::size_t grid = config_.grid_size;
+  const GateTable& gates = context.gates_;
+  const echoimage::array::ChannelMask& mask = context.active_mask_;
+  if (bands_counter_ != nullptr) bands_counter_->add(num_bands);
 
-  // Subband isolation (skipped when only one band is configured).
-  const MultiChannelSignal* band_signal = &filtered;
-  MultiChannelSignal band_filtered;
-  echoimage::array::CMatrix cov =
-      echoimage::array::white_noise_covariance(filtered.num_channels());
-  if (config_.num_subbands > 1) {
-    const auto& f = subband_filters_[band];
-    band_filtered.channels = f.filtfilt_multi(filtered.channels);
-    band_signal = &band_filtered;
-    if (have_noise) {
-      MultiChannelSignal band_noise;
-      band_noise.channels = f.filtfilt_multi(noise_f.channels);
-      cov = echoimage::array::noise_covariance_of(band_noise);
-    }
-  } else if (have_noise) {
-    cov = echoimage::array::noise_covariance_of(noise_f);
+  std::vector<ComplexSignal> own_spectra;
+  const std::vector<ComplexSignal>* spectra = &context.spectra_;
+  const std::size_t fft = fft_length_for(filtered.length());
+  if (config_.pulse_compression && fft != context.fft_length_) {
+    own_spectra = template_spectra(fft);
+    spectra = &own_spectra;
   }
+  // The sweep reads only the samples inside some gate: keep [first, last)
+  // of each channel and shift every gate by `first`. Gates past the beep's
+  // end stay empty, as they are on the full channel.
+  const std::size_t last = std::min(filtered.length(), gates.window_last);
+  const std::size_t first = std::min(gates.window_first, last);
 
-  // Per-channel complex signals: analytic, then (optionally) pulse-
-  // compressed against this band's chirp template. Matched filtering
-  // commutes with the linear beamformer, so compressing per channel once
-  // is equivalent to compressing every steered output.
-  std::vector<echoimage::dsp::ComplexSignal> channels;
-  channels.reserve(band_signal->num_channels());
-  for (const auto& ch : band_signal->channels) {
-    echoimage::dsp::ComplexSignal a = echoimage::dsp::analytic_signal(ch);
-    if (config_.pulse_compression)
-      a = echoimage::dsp::matched_filter_complex(a, subband_templates_[band]);
-    channels.push_back(std::move(a));
-  }
-  const NarrowbandBeamformer bf(std::move(channels), config_.sample_rate,
-                                units::Hertz{subband_centers_[band]}, geometry_,
-                                cov, config_.speed_of_sound, active_mask,
-                                config_.numeric_lane);
+  // All bands are in flight together through the three fan-outs below, so
+  // each band's span covers all of them and its work hangs off it through
+  // explicit parents, whichever worker runs it.
+  std::vector<std::optional<obs::ScopedSpan>> band_spans(num_bands);
+  for (std::size_t band = 0; band < num_bands; ++band)
+    band_spans[band].emplace(tracer, "imaging.band", band,
+                             construct_span.handle());
 
+  // Per (band, channel): subband filter, analytic signal and pulse
+  // compression of one channel, trimmed to the gate window. Matched
+  // filtering commutes with the linear beamformer, so compressing per
+  // channel once is equivalent to compressing every steered output.
+  // Channels the mask drops stay empty; the beamformer never reads them.
+  std::vector<std::vector<ComplexSignal>> windows(
+      num_bands, std::vector<ComplexSignal>(mics));
+  echoimage::runtime::parallel_for(
+      pool_.get(), num_bands * mics, [&](std::size_t task, std::size_t) {
+        const std::size_t band = task / mics;
+        const std::size_t c = task % mics;
+        if (c < mask.size() && !mask[c]) return;
+        EI_SPAN(tracer, "imaging.channel", c, band_spans[band]->handle());
+        ComplexSignal a =
+            num_bands > 1 ? echoimage::dsp::analytic_signal(
+                                subband_filters_[band].filtfilt(
+                                    filtered.channels[c]))
+                          : echoimage::dsp::analytic_signal(
+                                filtered.channels[c]);
+        if (config_.pulse_compression)
+          a = echoimage::dsp::matched_filter_complex(a, (*spectra)[band]);
+        windows[band][c].assign(a.begin() + static_cast<std::ptrdiff_t>(first),
+                                a.begin() + static_cast<std::ptrdiff_t>(last));
+      });
+
+  // Per band: the beamformer over the windows, and the direction-free
+  // incoherent energy once per distinct gate.
   const double mix = std::clamp(config_.incoherent_mix, 0.0, 1.0);
-  std::vector<double> incoherent(gates.gates.size(), 0.0);
-  if (mix > 0.0)
-    for (std::size_t g = 0; g < gates.gates.size(); ++g)
-      incoherent[g] =
-          bf.incoherent_energy(gates.gates[g].first, gates.gates[g].second);
+  std::vector<std::optional<NarrowbandBeamformer>> beamformers(num_bands);
+  std::vector<std::vector<double>> incoherent(
+      num_bands, std::vector<double>(gates.gates.size(), 0.0));
+  echoimage::runtime::parallel_for(
+      pool_.get(), num_bands, [&](std::size_t band, std::size_t) {
+        EI_SPAN(tracer, "imaging.beamformer", band,
+                band_spans[band]->handle());
+        const NarrowbandBeamformer& bf = beamformers[band].emplace(
+            std::move(windows[band]), config_.sample_rate,
+            units::Hertz{subband_centers_[band]}, geometry_,
+            context.covariances_[band], config_.speed_of_sound, mask,
+            config_.numeric_lane);
+        if (mix > 0.0)
+          for (std::size_t g = 0; g < gates.gates.size(); ++g)
+            incoherent[band][g] = bf.incoherent_energy(
+                gates.gates[g].first - first, gates.gates[g].second);
+      });
 
-  // Per-grid loop: every grid writes its own pixel and bands accumulate in
-  // a fixed outer order, so the image is bit-identical for any worker
-  // count.
-  struct PixelScratch {
-    std::vector<echoimage::dsp::Complex> steering;
-    std::vector<echoimage::dsp::Complex> weights;
-  };
-  echoimage::runtime::ScratchArena<PixelScratch> arena(
-      pool_ != nullptr ? pool_->num_workers() : 1);
-  std::vector<double>& pixels = image.data();
-
-  const auto grid_energy = [&](std::size_t k, std::size_t worker) {
-    const std::uint32_t g = gates.pixel_gate[k];
-    double e = 0.0;
-    if (mix < 1.0) {
-      PixelScratch& s = arena.local(worker);
-      const Direction dir = echoimage::array::direction_to_point(grid_center(
-          config_, k / config_.grid_size, k % config_.grid_size,
-          plane_distance_m));
-      bf.compute_weights(dir, config_.use_mvdr, s.steering, s.weights);
-      e += (1.0 - mix) * bf.steered_energy(s.weights, gates.gates[g].first,
-                                           gates.gates[g].second);
-    }
-    if (mix > 0.0) e += mix * incoherent[g];
-    pixels[k] += e;
-  };
-  // One task per grid row — a fixed grain, so the recorded
+  // One sweep over every (band, grid row): each task writes its own row of
+  // its own band, so the images are bit-identical for any worker count.
+  // One task per row is a fixed grain, so the recorded
   // `imaging.grid_chunk[row]` spans are identical for every worker count
-  // (the determinism contract in obs/trace.hpp); pixels still write
-  // disjoint slots, so the image itself stays bit-identical too.
-  EI_SPAN_NAMED(sweep_span, tracer, "imaging.grid_sweep", band);
-  const obs::SpanHandle sweep = sweep_span.handle();
-  const auto row_task = [&](std::size_t row, std::size_t worker) {
-    EI_SPAN(tracer, "imaging.grid_chunk", row, sweep);
-    const std::size_t base = row * config_.grid_size;
-    for (std::size_t col = 0; col < config_.grid_size; ++col)
-      grid_energy(base + col, worker);
-  };
-  if (pool_ != nullptr) {
-    echoimage::runtime::parallel_for(*pool_, config_.grid_size, row_task);
-  } else {
-    for (std::size_t row = 0; row < config_.grid_size; ++row) row_task(row, 0);
+  // too (the determinism contract in obs/trace.hpp).
+  std::vector<Matrix2D> energies(num_bands, Matrix2D(grid, grid));
+  {
+    std::vector<std::optional<obs::ScopedSpan>> sweep_spans(num_bands);
+    for (std::size_t band = 0; band < num_bands; ++band)
+      sweep_spans[band].emplace(tracer, "imaging.grid_sweep", band,
+                                band_spans[band]->handle());
+    struct PixelScratch {
+      std::vector<echoimage::dsp::Complex> steering;
+      std::vector<echoimage::dsp::Complex> weights;
+    };
+    echoimage::runtime::ScratchArena<PixelScratch> arena(
+        pool_ != nullptr ? pool_->num_workers() : 1);
+    echoimage::runtime::parallel_for(
+        pool_.get(), num_bands * grid,
+        [&](std::size_t task, std::size_t worker) {
+          const std::size_t band = task / grid;
+          const std::size_t row = task % grid;
+          EI_SPAN(tracer, "imaging.grid_chunk", row,
+                  sweep_spans[band]->handle());
+          const NarrowbandBeamformer& bf = *beamformers[band];
+          PixelScratch& s = arena.local(worker);
+          std::vector<double>& pixels = energies[band].data();
+          for (std::size_t col = 0; col < grid; ++col) {
+            const std::size_t k = row * grid + col;
+            const std::uint32_t g = gates.pixel_gate[k];
+            double e = 0.0;
+            if (mix < 1.0) {
+              const Direction dir = echoimage::array::direction_to_point(
+                  grid_center(config_, row, col, context.plane_distance_m_));
+              bf.compute_weights(dir, config_.use_mvdr, s.steering, s.weights);
+              e += (1.0 - mix) *
+                   bf.steered_energy(s.weights, gates.gates[g].first - first,
+                                     gates.gates[g].second);
+            }
+            if (mix > 0.0) e += mix * incoherent[band][g];
+            pixels[k] += e;
+          }
+        });
   }
+  return energies;
+}
+
+std::vector<Matrix2D> AcousticImager::construct_bands(
+    const MultiChannelSignal& beep, const CaptureContext& context) const {
+  std::vector<Matrix2D> bands = band_energies(beep, context);
+  // L2 norm of the gated segment: sqrt of the energy.
+  for (Matrix2D& band : bands)
+    for (double& v : band.data()) v = std::sqrt(v);
+  return bands;
 }
 
 Matrix2D AcousticImager::construct(
     const MultiChannelSignal& beep, units::Meters plane_distance,
     double tau_direct_s, const MultiChannelSignal& noise_only,
     double tau_echo_s, const echoimage::array::ChannelMask& active_mask) const {
-  if (plane_distance.value() <= 0.0)
-    throw std::invalid_argument("AcousticImager: plane distance must be > 0");
-  EI_SPAN(obs::Observability::tracer_of(obs_.get()), "imaging.construct");
-  if (images_counter_ != nullptr) images_counter_->add();
-  MultiChannelSignal filtered, noise_f;
-  bool have_noise = false;
-  prepare(beep, noise_only, tau_direct_s, filtered, noise_f, have_noise);
-  const GateTable gates(config_, plane_distance.value(), tau_direct_s,
-                        tau_echo_s);
-
+  const std::vector<Matrix2D> bands = band_energies(
+      beep, capture_context(plane_distance, beep.length(), tau_direct_s,
+                            noise_only, tau_echo_s, active_mask));
+  // Frequency compounding: band energies summed in band order from 0.0,
+  // then the L2 norm of the compounded energy.
   Matrix2D image(config_.grid_size, config_.grid_size);
-  for (std::size_t band = 0; band < config_.num_subbands; ++band)
-    accumulate_band(band, filtered, noise_f, have_noise, plane_distance.value(),
-                    gates, active_mask, image);
-  // L2 norm of the gated segment(s): sqrt of the (compounded) energy.
+  for (const Matrix2D& band : bands)
+    for (std::size_t k = 0; k < image.size(); ++k)
+      image.data()[k] += band.data()[k];
   for (double& v : image.data()) v = std::sqrt(v);
   return image;
 }
@@ -285,26 +376,9 @@ std::vector<Matrix2D> AcousticImager::construct_bands(
     const MultiChannelSignal& beep, units::Meters plane_distance,
     double tau_direct_s, const MultiChannelSignal& noise_only,
     double tau_echo_s, const echoimage::array::ChannelMask& active_mask) const {
-  if (plane_distance.value() <= 0.0)
-    throw std::invalid_argument("AcousticImager: plane distance must be > 0");
-  EI_SPAN(obs::Observability::tracer_of(obs_.get()), "imaging.construct");
-  if (images_counter_ != nullptr) images_counter_->add();
-  MultiChannelSignal filtered, noise_f;
-  bool have_noise = false;
-  prepare(beep, noise_only, tau_direct_s, filtered, noise_f, have_noise);
-  const GateTable gates(config_, plane_distance.value(), tau_direct_s,
-                        tau_echo_s);
-
-  std::vector<Matrix2D> bands;
-  bands.reserve(config_.num_subbands);
-  for (std::size_t band = 0; band < config_.num_subbands; ++band) {
-    Matrix2D image(config_.grid_size, config_.grid_size);
-    accumulate_band(band, filtered, noise_f, have_noise, plane_distance.value(),
-                    gates, active_mask, image);
-    for (double& v : image.data()) v = std::sqrt(v);
-    bands.push_back(std::move(image));
-  }
-  return bands;
+  return construct_bands(
+      beep, capture_context(plane_distance, beep.length(), tau_direct_s,
+                            noise_only, tau_echo_s, active_mask));
 }
 
 }  // namespace echoimage::core

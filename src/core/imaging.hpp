@@ -10,7 +10,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "array/beamformer.hpp"
 #include "core/distance.hpp"
@@ -76,11 +79,12 @@ struct ImagingConfig {
   /// 1 = single full-band image.
   std::size_t num_subbands = 5;
   units::MetersPerSecond speed_of_sound = echoimage::array::kSpeedOfSoundMps;
-  /// Workers for the per-grid imaging loop. 1 = the historical serial
-  /// path (no pool, no synchronization); 0 = one per hardware thread.
-  /// Any value produces bit-identical images: grids write disjoint output
-  /// slots and bands accumulate in a fixed order (see DESIGN.md,
-  /// "Threading model").
+  /// Workers of the imager's pool, which runs each beep's per-(band,
+  /// channel) front end, per-band beamformer builds and grid sweep, and the
+  /// pipeline's per-band CNN. 1 = the historical serial path (no pool, no
+  /// synchronization); 0 = one per hardware thread. Any value produces
+  /// bit-identical images: every task writes its own slots and bands
+  /// accumulate in a fixed order (see DESIGN.md, "Threading model").
   std::size_t num_threads = 1;
   /// Numeric lane of the beamformer energy kernels. kF64 (default) is
   /// bit-identical to the historical pipeline on every ISA lane; kF32
@@ -104,12 +108,16 @@ struct AcousticImage {
 
 class AcousticImager {
  public:
+  class CaptureContext;
+
   AcousticImager(ImagingConfig config, ArrayGeometry geometry);
 
   [[nodiscard]] const ImagingConfig& config() const { return config_; }
 
   /// Worker pool of the imaging loop (null on the serial path). Shared so
-  /// sibling stages (e.g. the augmenter) can reuse the same workers.
+  /// sibling stages (the augmenter, the pipeline's CNN) can reuse the same
+  /// workers. Regions never nest: nothing calls into this pool from inside
+  /// one of its own regions.
   [[nodiscard]] const std::shared_ptr<echoimage::runtime::ThreadPool>& pool()
       const {
     return pool_;
@@ -121,10 +129,32 @@ class AcousticImager {
     return nullptr;
   }
 
-  /// Wire this imager into the system observability bundle: per-band and
-  /// per-grid-row spans and image/band counters. Null (the default) keeps
-  /// every site a dead branch. Call before first use.
+  /// Wire this imager into the system observability bundle: capture,
+  /// per-band, per-(band, channel) and per-grid-row spans and image/band
+  /// counters. Null (the default) keeps every site a dead branch. Call
+  /// before first use.
   void attach_observability(std::shared_ptr<const obs::Observability> obs);
+
+  /// What every beep of one capture shares, built once on the calling
+  /// thread: each band's noise covariance (band-pass, subband filter,
+  /// covariance of `noise_only`), each band's matched-filter template
+  /// spectrum at the FFT length of a `beep_length`-sample beep, and the
+  /// gate table of the plane at `plane_distance` for the given time
+  /// anchors. `tau_direct_s`, `noise_only`, `tau_echo_s` and `active_mask`
+  /// mean what they mean for `construct`. The context is immutable, so any
+  /// number of `construct_bands(beep, context)` calls may share it.
+  [[nodiscard]] CaptureContext capture_context(
+      units::Meters plane_distance, std::size_t beep_length,
+      double tau_direct_s = 0.0, const MultiChannelSignal& noise_only = {},
+      double tau_echo_s = -1.0,
+      const echoimage::array::ChannelMask& active_mask = {}) const;
+
+  /// Per-subband images of one beep of the context's capture: bit-identical
+  /// to `construct_bands(beep, plane_distance, ...)` with the arguments the
+  /// context was built from. A beep whose length differs from the
+  /// context's `beep_length` recomputes its template spectra.
+  [[nodiscard]] std::vector<Matrix2D> construct_bands(
+      const MultiChannelSignal& beep, const CaptureContext& context) const;
 
   /// Construct the acoustic image AI_l from one beep capture. `tau_direct_s`
   /// anchors the time axis (emission time = direct-path arrival minus the
@@ -133,15 +163,17 @@ class AcousticImager {
   /// `tau_echo_s` (< 0 = unknown) enables echo anchoring when
   /// `anchor_to_echo` is set. `active_mask` (empty = all) images with the
   /// surviving subarray when the health gate has condemned channels.
+  /// Builds a one-beep capture context per call.
   [[nodiscard]] Matrix2D construct(
       const MultiChannelSignal& beep, units::Meters plane_distance,
       double tau_direct_s = 0.0, const MultiChannelSignal& noise_only = {},
       double tau_echo_s = -1.0,
       const echoimage::array::ChannelMask& active_mask = {}) const;
 
-  /// Per-subband images (the pipeline's default path): same computation as
-  /// `construct` but each spectral band is returned separately so the
-  /// classifier sees the body's frequency-dependent reflectivity.
+  /// Per-subband images: same computation as `construct` but each spectral
+  /// band is returned separately so the classifier sees the body's
+  /// frequency-dependent reflectivity. Builds a one-beep capture context
+  /// per call; the pipeline builds one per capture instead.
   [[nodiscard]] std::vector<Matrix2D> construct_bands(
       const MultiChannelSignal& beep, units::Meters plane_distance,
       double tau_direct_s = 0.0,
@@ -150,20 +182,20 @@ class AcousticImager {
       const echoimage::array::ChannelMask& active_mask = {}) const;
 
  private:
-  /// Every pixel's range gate for one plane and time anchor (imaging.cpp).
+  /// Every pixel's range gate for one plane and time anchor.
   struct GateTable;
-  /// Energy image of one subband, accumulated into `image`.
-  void accumulate_band(std::size_t band,
-                       const MultiChannelSignal& filtered,
-                       const MultiChannelSignal& noise_f, bool have_noise,
-                       double plane_distance_m, const GateTable& gates,
-                       const echoimage::array::ChannelMask& active_mask,
-                       Matrix2D& image) const;
-  /// Shared front end: band-pass + direct-path suppression + noise filter.
-  void prepare(const MultiChannelSignal& beep,
-               const MultiChannelSignal& noise_only, double tau_direct_s,
-               MultiChannelSignal& filtered, MultiChannelSignal& noise_f,
-               bool& have_noise) const;
+  /// Per-band gated energy images (before the square root) of one beep.
+  [[nodiscard]] std::vector<Matrix2D> band_energies(
+      const MultiChannelSignal& beep, const CaptureContext& context) const;
+  /// Matched-filter FFT length of a `beep_length`-sample beep (0 when the
+  /// beep or the template is empty).
+  [[nodiscard]] std::size_t fft_length_for(std::size_t beep_length) const;
+  /// Each band's template spectrum at `fft_length`.
+  [[nodiscard]] std::vector<echoimage::dsp::ComplexSignal> template_spectra(
+      std::size_t fft_length) const;
+  /// Front end shared by all bands: band-pass + direct-path suppression.
+  [[nodiscard]] MultiChannelSignal prepare(const MultiChannelSignal& beep,
+                                           double tau_direct_s) const;
 
   ImagingConfig config_;
   ArrayGeometry geometry_;
@@ -177,6 +209,38 @@ class AcousticImager {
   std::vector<echoimage::dsp::SosCascade> subband_filters_;
   std::vector<double> subband_centers_;
   std::vector<echoimage::dsp::Signal> subband_templates_;  ///< per-band chirp
+};
+
+// A pixel's range gate depends only on its distance to the array, so a
+// plane has a few hundred distinct gates against G^2 pixels (32,400 at
+// paper scale): direction-free work runs once per distinct gate, on
+// exactly the (first, count) window the pixel would have passed.
+struct AcousticImager::GateTable {
+  GateTable(const ImagingConfig& config, double plane_distance_m,
+            double tau_direct_s, double tau_echo_s);
+
+  std::vector<std::pair<std::size_t, std::size_t>> gates;  ///< (first, count)
+  std::vector<std::uint32_t> pixel_gate;  ///< pixel -> index into gates
+  /// [window_first, window_last) covers every gate: the only samples of a
+  /// beep the sweep reads.
+  std::size_t window_first = 0;
+  std::size_t window_last = 0;
+};
+
+class AcousticImager::CaptureContext {
+ private:
+  friend class AcousticImager;
+  explicit CaptureContext(GateTable gates) : gates_(std::move(gates)) {}
+
+  double plane_distance_m_ = 0.0;
+  double tau_direct_s_ = 0.0;
+  echoimage::array::ChannelMask active_mask_;
+  std::vector<echoimage::array::CMatrix> covariances_;  ///< per band
+  /// Matched-filter FFT length of a `beep_length` beep, and each band's
+  /// template spectrum at it (empty without pulse compression).
+  std::size_t fft_length_ = 0;
+  std::vector<echoimage::dsp::ComplexSignal> spectra_;
+  GateTable gates_;
 };
 
 }  // namespace echoimage::core

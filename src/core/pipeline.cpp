@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "runtime/parallel_for.hpp"
 #include "simd/isa.hpp"
 
 namespace echoimage::core {
@@ -252,18 +253,27 @@ ProcessedBeeps EchoImagePipeline::process(
   const units::Meters plane{out.distance.user_distance_centroid_m > 0.0
                                 ? out.distance.user_distance_centroid_m
                                 : out.distance.user_distance_m};
+  // Deadline poll sits at the per-beep boundary: each image is the
+  // expensive unit of work, and stopping between images leaves a clean
+  // prefix (never a half-built image). The first poll precedes the capture
+  // context, so an expired deadline builds nothing.
+  if (deadline && deadline()) {
+    out.deadline_expired = true;
+    return out;
+  }
+  // The noise path, template spectra and gate table are the same for every
+  // beep of the capture: built once here, then shared by each image.
+  const AcousticImager::CaptureContext context = imager_.capture_context(
+      plane, use_beeps->front().length(), out.distance.tau_direct_s,
+      *use_noise, out.distance.tau_echo_centroid_s, mask_ref);
   for (std::size_t b = 0; b < use_beeps->size(); ++b) {
-    // Deadline poll sits at the per-beep boundary: each image is the
-    // expensive unit of work, and stopping between images leaves a clean
-    // prefix (never a half-built image).
-    if (deadline && deadline()) {
+    if (b > 0 && deadline && deadline()) {
       out.deadline_expired = true;
       return out;
     }
     EI_SPAN(tracer, "pipeline.image", b);
-    out.images.push_back(AcousticImage{imager_.construct_bands(
-        (*use_beeps)[b], plane, out.distance.tau_direct_s, *use_noise,
-        out.distance.tau_echo_centroid_s, mask_ref)});
+    out.images.push_back(
+        AcousticImage{imager_.construct_bands((*use_beeps)[b], context)});
   }
   return out;
 }
@@ -271,11 +281,17 @@ ProcessedBeeps EchoImagePipeline::process(
 std::vector<double> EchoImagePipeline::features(
     const AcousticImage& image) const {
   EI_SPAN(obs::Observability::tracer_of(obs_.get()), "pipeline.features");
+  // One band per task on the imager's pool, concatenated in band order.
+  // Never called from inside an imager region, so regions do not nest.
+  std::vector<std::vector<double>> per_band(image.bands.size());
+  echoimage::runtime::parallel_for(
+      imager_.pool().get(), image.bands.size(),
+      [&](std::size_t band, std::size_t) {
+        per_band[band] = extractor_.extract(image.bands[band]);
+      });
   std::vector<double> out;
-  for (const Matrix2D& band : image.bands) {
-    const std::vector<double> f = extractor_.extract(band);
+  for (const std::vector<double>& f : per_band)
     out.insert(out.end(), f.begin(), f.end());
-  }
   return out;
 }
 

@@ -26,10 +26,13 @@ struct SystemConfig {
   /// imaging by `harmonize` — the single knob a recalibrator turns when
   /// the room temperature has moved the real value (see core/drift.hpp).
   units::MetersPerSecond speed_of_sound = echoimage::array::kSpeedOfSoundMps;
-  /// Worker threads for the parallel stages (imaging grids, augmentation
-  /// fan-out, experiment session fan-out). 1 = the historical serial
-  /// behavior, bit for bit; 0 = one worker per hardware thread. Results
-  /// are deterministic for every value (see DESIGN.md, "Threading model").
+  /// Worker threads for the parallel stages: the imager's pool runs each
+  /// beep's front end (per band and channel), beamformer builds and grid
+  /// sweep, the per-band CNN and the augmentation fan-out; the experiment
+  /// runner fans sessions out on a pool of its own. 1 = the historical
+  /// serial behavior, bit for bit; 0 = one worker per hardware thread.
+  /// Results are deterministic for every value (see DESIGN.md, "Threading
+  /// model").
   std::size_t num_threads = 1;
   echoimage::dsp::ChirpParams chirp{};
   DistanceEstimatorConfig distance{};
@@ -128,14 +131,15 @@ class EchoImagePipeline {
     return obs_;
   }
 
-  /// Distance estimation + per-beep image construction. Runs the channel-
-  /// health gate first (see SystemConfig::health_gate): dead channels are
-  /// masked out and recorded in the result; a capture with fewer than
-  /// `health.min_active_channels` healthy channels returns with
+  /// Distance estimation + per-beep image construction from one capture
+  /// context (AcousticImager::capture_context) shared by every beep. Runs
+  /// the channel-health gate first (see SystemConfig::health_gate): dead
+  /// channels are masked out and recorded in the result; a capture with
+  /// fewer than `health.min_active_channels` healthy channels returns with
   /// `gate_passed() == false` and no images. Structurally invalid input
   /// (wrong channel count, ragged/empty channels) throws
   /// std::invalid_argument with a message naming the offending beep.
-  /// A non-empty `deadline` is polled between per-beep images; on expiry
+  /// A non-empty `deadline` is polled before every per-beep image; on expiry
   /// the result carries `deadline_expired = true` and the remaining beeps
   /// are skipped (see DeadlineProbe).
   [[nodiscard]] ProcessedBeeps process(
@@ -148,7 +152,9 @@ class EchoImagePipeline {
   void validate_capture(const std::vector<MultiChannelSignal>& beeps,
                         const MultiChannelSignal& noise_only = {}) const;
 
-  /// CNN features of one acoustic image (per-band features concatenated).
+  /// CNN features of one acoustic image: bands extracted on the imager's
+  /// pool, concatenated in band order. Must not be called from inside a
+  /// region of that pool.
   [[nodiscard]] std::vector<double> features(const AcousticImage& image) const;
 
   /// Features of a batch of images, optionally augmented with synthesized

@@ -67,11 +67,7 @@ ExperimentResult run_authentication_experiment(
   if (num_threads > 1)
     pool = std::make_unique<echoimage::runtime::ThreadPool>(num_threads);
   const auto fan_out = [&](std::size_t n, const auto& body) {
-    if (pool != nullptr) {
-      echoimage::runtime::parallel_for(*pool, n, body);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) body(i, std::size_t{0});
-    }
+    echoimage::runtime::parallel_for(pool.get(), n, body);
   };
 
   ExperimentResult result;

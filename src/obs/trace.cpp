@@ -38,7 +38,7 @@ SpanHandle Tracer::begin(const char* name, bool has_arg, std::uint64_t arg,
   event.name = name;
   event.arg = arg;
   event.has_arg = has_arg;
-  event.parent = lane.open.empty()
+  event.parent = attach.valid() || lane.open.empty()
                      ? attach
                      : SpanHandle{lane_index, lane.open.back()};
   event.start_ns = now_ns();

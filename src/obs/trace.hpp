@@ -4,11 +4,12 @@
 // records name, optional logical argument (band / row / attempt index),
 // worker lane, start time, and duration. Spans nest: each worker lane keeps
 // its own open-span stack, so a span's parent is the innermost open span on
-// the same lane — or, for work fanned out across pool workers, an
-// explicitly attached parent handle (the span that opened the parallel
-// region). Lanes are written only by their own worker (keyed on
-// runtime::current_worker()), so recording is lock-free and TSan-clean;
-// export happens after the fork-join region has completed.
+// the same lane — unless the span names an explicit parent handle, which
+// wins. Work fanned out across pool workers names the span that stands for
+// its part of the region, so its parent does not depend on which lane ran
+// it or what that lane had open. Lanes are written only by their own
+// worker (keyed on runtime::current_worker()), so recording is lock-free
+// and TSan-clean; export happens after the fork-join region has completed.
 //
 // Three exports:
 //   * chrome_trace_json() — Chrome/Perfetto `trace_event` JSON (load via
@@ -74,9 +75,9 @@ class Tracer {
   /// Flip recording. Only call while no spans are open (between sessions).
   void set_enabled(bool enabled) { enabled_ = enabled; }
 
-  /// Open a span on the calling worker's lane. Parent resolution: the
-  /// lane's innermost open span when one exists, otherwise `attach` (the
-  /// cross-lane parent a parallel region passes into its workers).
+  /// Open a span on the calling worker's lane. Parent resolution: `attach`
+  /// when valid (the cross-lane parent a parallel region passes into its
+  /// workers), otherwise the lane's innermost open span, otherwise none.
   [[nodiscard]] SpanHandle begin(const char* name, bool has_arg = false,
                                  std::uint64_t arg = 0,
                                  SpanHandle attach = kNoParent) const;

@@ -1,9 +1,16 @@
 // Deterministic data-parallel loops over a ThreadPool.
 //
-// `parallel_for` statically splits [0, n) into one contiguous chunk per
-// worker. Each index is visited exactly once, so a body that writes only to
-// per-index output slots produces bit-identical results for every worker
-// count — the foundation of the imaging engine's determinism guarantee.
+// `parallel_for` hands indices of [0, n) out one at a time from a shared
+// atomic cursor, so a worker that finishes early takes the next index
+// instead of idling at the join. Each index still runs exactly once, so a
+// body that writes only to per-index output slots produces bit-identical
+// results for every worker count and every schedule — the foundation of
+// the imaging engine's determinism guarantee. The worker argument is the
+// pool's worker index (a valid ScratchArena key), not a chunk number.
+// Once an index throws, no further indices are handed out and the
+// exception of the lowest failing index is rethrown: every lower index was
+// already claimed and ran to completion, so that choice does not depend on
+// scheduling.
 //
 // `parallel_reduce` needs one more invariant: floating-point reduction
 // order must not depend on how many workers ran. It therefore chunks by a
@@ -13,14 +20,18 @@
 // identical result for any worker count.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <exception>
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
 
 namespace echoimage::runtime {
 
-/// Contiguous static chunk of worker `w` out of `workers` over [0, n).
+/// Contiguous static chunk `w` out of `workers` over [0, n), for callers
+/// that hand each index a whole range (CentroidIndex::distances).
 struct IndexRange {
   std::size_t first = 0;
   std::size_t last = 0;
@@ -30,8 +41,10 @@ struct IndexRange {
   return {n * w / workers, n * (w + 1) / workers};
 }
 
-/// body(i, worker) for every i in [0, n), each exactly once. Worker 0 is
-/// the calling thread; with a one-worker pool this is a plain serial loop.
+/// body(i, worker) for every i in [0, n), each exactly once, with indices
+/// claimed from a shared cursor. Worker 0 is the calling thread; with a
+/// one-worker pool this is a plain serial loop. Regions must not nest on
+/// one pool: a body may not call parallel_for on the pool running it.
 template <typename Body>
 void parallel_for(ThreadPool& pool, std::size_t n, const Body& body) {
   if (n == 0) return;
@@ -40,11 +53,43 @@ void parallel_for(ThreadPool& pool, std::size_t n, const Body& body) {
     for (std::size_t i = 0; i < n; ++i) body(i, std::size_t{0});
     return;
   }
+  // A worker stops at its first failure; the slot is read after the join.
+  struct Failure {
+    std::size_t index = 0;
+    std::exception_ptr error;
+  };
+  std::vector<Failure> failures(workers);
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<bool> failed{false};
   pool.run([&](std::size_t w) {
     if (w >= workers) return;
-    const IndexRange r = static_chunk(n, w, workers);
-    for (std::size_t i = r.first; i < r.last; ++i) body(i, w);
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        body(i, w);
+      } catch (...) {
+        failures[w] = {i, std::current_exception()};
+        failed.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
   });
+  const Failure* lowest = nullptr;
+  for (const Failure& f : failures)
+    if (f.error && (lowest == nullptr || f.index < lowest->index)) lowest = &f;
+  if (lowest != nullptr) std::rethrow_exception(lowest->error);
+}
+
+/// parallel_for on `*pool`, or a plain serial loop when `pool` is null (a
+/// stage configured for one worker owns no pool).
+template <typename Body>
+void parallel_for(ThreadPool* pool, std::size_t n, const Body& body) {
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) body(i, std::size_t{0});
+    return;
+  }
+  parallel_for(*pool, n, body);
 }
 
 /// Ordered reduction: result = fold over chunks (ascending) of

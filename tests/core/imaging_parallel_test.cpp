@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/imaging.hpp"
+#include "core/pipeline.hpp"
 #include "eval/dataset.hpp"
 #include "eval/experiment.hpp"
 #include "eval/roster.hpp"
@@ -238,6 +239,132 @@ TEST(ParallelImaging, IsaLanesBitIdenticalUnderThreadedEngine) {
               .construct_bands(batch.beeps[0], 0.7_m, 0.0002,
                                batch.noise_only),
           "isa lane f32");
+    }
+  }
+}
+
+// The per-capture path: one context built per capture must image every
+// beep of it bit for bit as the one-context-per-call wrapper does, at
+// every worker count. The reference is the serial wrapper.
+void expect_context_matches_wrapper(const ImagingConfig& base,
+                                    const echoimage::eval::CaptureBatch& batch,
+                                    const MultiChannelSignal& noise,
+                                    double tau_echo_s,
+                                    const echoimage::array::ChannelMask& mask,
+                                    const char* what) {
+  const auto geometry = echoimage::array::make_respeaker_array();
+  ImagingConfig cfg = base;
+  cfg.num_threads = 1;
+  const AcousticImager serial(cfg, geometry);
+  std::vector<std::vector<Matrix2D>> reference;
+  for (const MultiChannelSignal& beep : batch.beeps)
+    reference.push_back(serial.construct_bands(beep, 0.7_m, 0.0002, noise,
+                                               tau_echo_s, mask));
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    cfg.num_threads = threads;
+    const AcousticImager imager(cfg, geometry);
+    const AcousticImager::CaptureContext context = imager.capture_context(
+        0.7_m, batch.beeps.front().length(), 0.0002, noise, tau_echo_s, mask);
+    for (std::size_t b = 0; b < batch.beeps.size(); ++b) {
+      SCOPED_TRACE(::testing::Message() << what << ", " << threads
+                                        << " workers, beep " << b);
+      expect_bitwise_equal(reference[b],
+                           imager.construct_bands(batch.beeps[b], context),
+                           what);
+    }
+  }
+}
+
+TEST(ParallelImaging, CaptureContextMatchesPerBeepWrapperWithDegradedMask) {
+  const Fixture f;
+  const auto batch = f.batch(0, 4);
+  echoimage::array::ChannelMask mask(f.geometry.num_mics(), true);
+  mask[1] = false;
+  mask[4] = false;
+  expect_context_matches_wrapper(small_config(), batch, batch.noise_only,
+                                 -1.0, mask, "degraded mask");
+}
+
+TEST(ParallelImaging, CaptureContextMatchesPerBeepWrapperWithoutNoise) {
+  const Fixture f;
+  const auto batch = f.batch(0, 4);
+  expect_context_matches_wrapper(small_config(), batch, {}, -1.0, {},
+                                 "empty noise capture");
+}
+
+TEST(ParallelImaging, CaptureContextMatchesPerBeepWrapperWithOneBand) {
+  const Fixture f;
+  const auto batch = f.batch(0, 4);
+  ImagingConfig cfg = small_config();
+  cfg.num_subbands = 1;
+  expect_context_matches_wrapper(cfg, batch, batch.noise_only, -1.0, {},
+                                 "one band");
+}
+
+TEST(ParallelImaging, CaptureContextMatchesPerBeepWrapperOnClippedRawGates) {
+  // The scene of golden_image_clipped_band*: echo-anchored, uncompressed
+  // gates with the echo 54 ms into the 60 ms capture, so some gates are
+  // clipped at the capture's end and some start past it.
+  const Fixture f;
+  const auto batch = f.batch(0, 4);
+  ImagingConfig cfg = small_config();
+  cfg.grid_size = 16;
+  cfg.grid_spacing_m = 0.2;
+  cfg.anchor_to_echo = true;
+  cfg.pulse_compression = false;
+  expect_context_matches_wrapper(cfg, batch, batch.noise_only, 0.054, {},
+                                 "clipped raw gates");
+}
+
+TEST(ParallelImaging, CaptureContextServesABeepOfAnotherLength) {
+  // A context sized for a longer beep (another matched-filter FFT length)
+  // recomputes the template spectra for this beep instead of reusing its
+  // own, so the image still matches the wrapper.
+  const Fixture f;
+  const auto batch = f.batch();
+  ImagingConfig cfg = small_config();
+  cfg.num_threads = 2;
+  const AcousticImager imager(cfg, f.geometry);
+  const AcousticImager::CaptureContext context = imager.capture_context(
+      0.7_m, 4 * batch.beeps[0].length(), 0.0002, batch.noise_only);
+  expect_bitwise_equal(
+      imager.construct_bands(batch.beeps[0], 0.7_m, 0.0002, batch.noise_only),
+      imager.construct_bands(batch.beeps[0], context), "other beep length");
+}
+
+TEST(ParallelImaging, ProcessMatchesThePerBeepRecomposition) {
+  // What a caller that recomposes `process` from public per-beep calls
+  // sees (distance estimate, then construct_bands per beep with the
+  // capture's plane and anchors) must be exactly what the per-capture
+  // path produced, at every worker count.
+  const Fixture f;
+  const auto batch = f.batch(0, 4);
+  SystemConfig config = echoimage::eval::default_system_config();
+  config.imaging.grid_size = 12;
+  config.imaging.grid_spacing_m = 0.06;
+  config.imaging.num_subbands = 2;
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    config.num_threads = threads;
+    const EchoImagePipeline pipeline(config, f.geometry);
+    const ProcessedBeeps processed =
+        pipeline.process(batch.beeps, batch.noise_only);
+    ASSERT_TRUE(processed.distance.valid);
+    ASSERT_EQ(processed.dropped_channels, 0u);
+    ASSERT_EQ(processed.images.size(), batch.beeps.size());
+    const DistanceEstimate distance =
+        pipeline.distance_estimator().estimate(batch.beeps, batch.noise_only);
+    const units::Meters plane{distance.user_distance_centroid_m > 0.0
+                                  ? distance.user_distance_centroid_m
+                                  : distance.user_distance_m};
+    for (std::size_t b = 0; b < batch.beeps.size(); ++b) {
+      SCOPED_TRACE(::testing::Message() << threads << " workers, beep " << b);
+      expect_bitwise_equal(
+          pipeline.imager().construct_bands(
+              batch.beeps[b], plane, distance.tau_direct_s, batch.noise_only,
+              distance.tau_echo_centroid_s),
+          processed.images[b].bands, "process vs recomposition");
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "dsp/chirp.hpp"
 #include "dsp/hilbert.hpp"
@@ -135,6 +136,19 @@ TEST(MatchedFilter, NoiseOnlyInputHasNoDominantPeak) {
   for (std::size_t i = 470; i < 500; ++i)
     max_echo = std::max(max_echo, env_echo[i]);
   EXPECT_GT(max_echo, 3.0 * max_noise);  // processing gain reveals the echo
+}
+
+TEST(MatchedFilterComplex, SpectrumMustCoverSignalAndTemplate) {
+  // A spectrum shorter than the signal (or an FFT shorter than the
+  // template) cannot hold the linear correlation: rejected, never wrapped.
+  const Signal tmpl = chirp_template();
+  const ComplexSignal rx(1024, Complex(1.0, 0.0));
+  EXPECT_THROW((void)template_spectrum(tmpl, 64), std::invalid_argument);
+  const ComplexSignal short_spectrum = template_spectrum(tmpl, 512);
+  EXPECT_THROW((void)matched_filter_complex(rx, short_spectrum),
+               std::invalid_argument);
+  EXPECT_EQ(matched_filter_fft_length(1024, tmpl.size()),
+            std::size_t{2048});
 }
 
 }  // namespace

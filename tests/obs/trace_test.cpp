@@ -67,6 +67,27 @@ TEST(Tracer, CrossLaneAttachParentsPoolWorkSpansUnderTheRegionSpan) {
   EXPECT_EQ(tracer.structure(), expected);
 }
 
+TEST(Tracer, ExplicitParentWinsOverTheLanesOpenSpan) {
+  // Sibling spans opened back to back on one lane, each naming the same
+  // explicit parent, stay siblings: the lane's innermost open span (the
+  // previous sibling) does not capture them. This is how one region can
+  // carry work for several parents at once.
+  const Tracer tracer;
+  {
+    EI_SPAN_NAMED(root, &tracer, "root");
+    EI_SPAN_NAMED(first, &tracer, "part", 0, root.handle());
+    EI_SPAN_NAMED(second, &tracer, "part", 1, root.handle());
+    { EI_SPAN(&tracer, "work", 7, first.handle()); }
+    { EI_SPAN(&tracer, "leaf"); }
+  }
+  EXPECT_EQ(tracer.structure(),
+            "root\n"
+            "  part[0]\n"
+            "    work[7]\n"
+            "  part[1]\n"
+            "    leaf\n");
+}
+
 TEST(Tracer, StructureIsInvariantAcrossWorkerCounts) {
   constexpr std::size_t kChunks = 16;
   std::string structures[2];

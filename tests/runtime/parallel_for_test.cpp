@@ -6,6 +6,9 @@
 #include <bit>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace echoimage::runtime {
@@ -72,6 +75,51 @@ TEST(ParallelFor, SlotWritesAreBitIdenticalAcrossPoolSizes) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
                 std::bit_cast<std::uint64_t>(reference[i]));
   }
+}
+
+TEST(ParallelFor, RethrowsTheLowestFailingIndexForAnyScheduling) {
+  // Two throwing indices: whichever worker fails first, every index below
+  // it was already claimed, so index 3's exception must surface.
+  constexpr std::size_t n = 200;
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4},
+                                    std::size_t{8}}) {
+    ThreadPool pool(threads);
+    for (int round = 0; round < 20; ++round) {
+      try {
+        parallel_for(pool, n, [&](std::size_t i, std::size_t) {
+          if (i == 3 || i == 11) throw std::runtime_error(std::to_string(i));
+        });
+        ADD_FAILURE() << "parallel_for swallowed the exceptions";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "3") << threads << " workers";
+      }
+    }
+    // The pool is still usable after a failed region.
+    std::atomic<std::size_t> total{0};
+    parallel_for(pool, 50, [&](std::size_t, std::size_t) { ++total; });
+    EXPECT_EQ(total.load(), 50u);
+  }
+}
+
+TEST(ParallelFor, FastWorkersTakeOverASlowWorkersShare) {
+  // Work sharing: a worker stuck on one slow index must not own a fixed
+  // slice of the rest. With a static split the slow worker's chunk would
+  // run on it alone; with the shared cursor the other workers drain it.
+  ThreadPool pool(2);
+  std::vector<std::size_t> owner(64, 99);
+  std::atomic<bool> release{false};
+  parallel_for(pool, owner.size(), [&](std::size_t i, std::size_t worker) {
+    owner[i] = worker;
+    if (i == 0) {
+      while (!release.load()) std::this_thread::yield();
+    } else if (i + 1 == owner.size()) {
+      release.store(true);
+    }
+  });
+  // Index 0 blocked its worker until the last index ran, so one worker ran
+  // every other index.
+  for (std::size_t i = 1; i < owner.size(); ++i)
+    EXPECT_NE(owner[i], owner[0]) << "index " << i;
 }
 
 TEST(ParallelReduce, MatchesTheSerialOrderedFoldBitwise) {
