@@ -147,8 +147,8 @@ std::vector<Kernel> make_kernels() {
                        }});
   }
 
-  // Steering-multiply energy core, both numeric lanes: 6 channels x 2880
-  // snapshots, the inner loop of every imaging pixel.
+  // Steering-multiply energy core: 6 channels x 2880 snapshots, the inner
+  // loop of every imaging pixel.
   {
     const std::size_t len = 2880, m = 6;
     std::vector<dsp::ComplexSignal> chans(m);
@@ -160,23 +160,15 @@ std::vector<Kernel> make_kernels() {
     }
     const auto geom = array::make_respeaker_array();
     const auto cov = array::white_noise_covariance(m);
-    array::NarrowbandBeamformer bf64(chans, 48000.0, units::Hertz{2500.0},
-                                     geom, cov, array::kSpeedOfSoundMps, {},
-                                     simd::NumericLane::kF64);
-    array::NarrowbandBeamformer bf32(chans, 48000.0, units::Hertz{2500.0},
-                                     geom, cov, array::kSpeedOfSoundMps, {},
-                                     simd::NumericLane::kF32);
-    const auto w = bf64.weights_mvdr(array::Direction{1.0, 1.2});
-    kernels.push_back({"steered_energy_f64", m * len, [bf64, w, len]() {
-                         const double e = bf64.steered_energy(w, 0, len);
+    array::NarrowbandBeamformer bf(chans, 48000.0, units::Hertz{2500.0}, geom,
+                                   cov);
+    const auto w = bf.weights_mvdr(array::Direction{1.0, 1.2});
+    kernels.push_back({"steered_energy_f64", m * len, [bf, w, len]() {
+                         const double e = bf.steered_energy(w, 0, len);
                          return std::bit_cast<std::uint64_t>(e);
                        }});
-    kernels.push_back({"steered_energy_f32", m * len, [bf32, w, len]() {
-                         const double e = bf32.steered_energy(w, 0, len);
-                         return std::bit_cast<std::uint64_t>(e);
-                       }});
-    kernels.push_back({"incoherent_energy_f64", m * len, [bf64, len]() {
-                         const double e = bf64.incoherent_energy(0, len);
+    kernels.push_back({"incoherent_energy_f64", m * len, [bf, len]() {
+                         const double e = bf.incoherent_energy(0, len);
                          return std::bit_cast<std::uint64_t>(e);
                        }});
   }
@@ -235,18 +227,13 @@ int main(int argc, char** argv) {
       }
       t.speedup_vs_scalar =
           t.ns_per_op > 0.0 ? scalar_ns / t.ns_per_op : 0.0;
-      // The f32 energy kernel never matches the f64 digest and carries its
-      // own contract; everything else must replay scalar bits exactly.
+      // Every lane must replay the scalar bits exactly.
       t.bit_identical = (d == scalar_digest);
-      if (k.name.find("_f32") == std::string::npos)
-        all_bit_identical &= t.bit_identical;
+      all_bit_identical &= t.bit_identical;
       report.lanes.push_back(t);
       rows.push_back({k.name, std::to_string(k.n), t.isa,
-                      eval::fmt(t.ns_per_op),
-                      eval::fmt(t.speedup_vs_scalar),
-                      k.name.find("_f32") != std::string::npos
-                          ? (isa == simd::Isa::kScalar ? "ref" : "n/a")
-                          : (t.bit_identical ? "yes" : "NO")});
+                      eval::fmt(t.ns_per_op), eval::fmt(t.speedup_vs_scalar),
+                      t.bit_identical ? "yes" : "NO"});
     }
     reports.push_back(std::move(report));
     std::cerr << '.' << std::flush;

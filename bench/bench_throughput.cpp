@@ -193,13 +193,11 @@ int main(int argc, char** argv) {
   std::cout << '\n';
 
   // --- SIMD lane sweep (serial): per-image speedup of each ISA
-  // lane over forced scalar, plus the f32 numeric lane on the best ISA.
-  // Every f64 lane must reproduce the reference bit for bit — the sweep is
-  // a speed dial, never a numerics dial (DESIGN.md, "SIMD & numeric-lane
-  // model").
+  // lane over forced scalar. Every lane must reproduce the reference bit
+  // for bit — the sweep is a speed dial, never a numerics dial (DESIGN.md,
+  // "SIMD model").
   struct LaneResult {
     std::string isa;
-    std::string lane = "f64";
     double images_per_sec = 0.0;
     double speedup_vs_scalar = 0.0;
     bool bit_identical = false;
@@ -241,43 +239,25 @@ int main(int argc, char** argv) {
           reference);
       lanes_ok &= r.bit_identical;
       lane_results.push_back(r);
-      lane_rows.push_back({r.isa, r.lane, eval::fmt(r.images_per_sec),
+      lane_rows.push_back({r.isa, eval::fmt(r.images_per_sec),
                            eval::fmt(r.speedup_vs_scalar),
                            r.bit_identical ? "yes" : "NO"});
       std::cerr << '.' << std::flush;
     }
-    // f32 numeric lane on the best ISA: speed entry only — its accuracy
-    // contract (pinned relative bound) is enforced by the golden tests.
-    {
-      core::ImagingConfig f32_cfg = cfg;
-      f32_cfg.numeric_lane = simd::NumericLane::kF32;
-      const core::AcousticImager imager(f32_cfg, geometry);
-      LaneResult r;
-      r.isa = simd::isa_name(simd::best_isa());
-      r.lane = "f32";
-      r.images_per_sec = time_lane(imager);
-      r.speedup_vs_scalar =
-          scalar_rate > 0.0 ? r.images_per_sec / scalar_rate : 0.0;
-      r.bit_identical = true;  // not applicable: different numeric lane
-      lane_results.push_back(r);
-      lane_rows.push_back({r.isa, r.lane, eval::fmt(r.images_per_sec),
-                           eval::fmt(r.speedup_vs_scalar), "n/a"});
-    }
     std::cerr << '\n';
     std::cout << "\n-- SIMD lane sweep (serial) --\n";
-    eval::print_table(
-        std::cout,
-        {"isa", "lane", "images/s", "speedup vs scalar", "bit-identical"},
-        lane_rows);
-    std::cout << "lane determinism (every f64 lane matches scalar bitwise): "
+    eval::print_table(std::cout,
+                      {"isa", "images/s", "speedup vs scalar", "bit-identical"},
+                      lane_rows);
+    std::cout << "lane determinism (every lane matches scalar bitwise): "
               << (lanes_ok ? "PASS" : "FAIL") << '\n';
   }
 
   // --- Paper-scale entry: one 180x180 image at the paper's full band
   // count, best lane + all hardware threads. This is the
-  // configuration the SIMD port exists to make tractable; one image per
-  // numeric lane keeps the entry honest without dominating the smoke run.
-  double paper_f64_s = 0.0, paper_f32_s = 0.0;
+  // configuration the SIMD port exists to make tractable; one image keeps
+  // the entry honest without dominating the smoke run.
+  double paper_s = 0.0;
   const std::size_t paper_threads = std::max(1u, hw);
   if (run_paper) {
     core::ImagingConfig cfg = base;
@@ -285,27 +265,16 @@ int main(int argc, char** argv) {
     cfg.grid_spacing_m = 0.01;  // paper Sec. V-C: 180x180 of 1 cm
     cfg.num_subbands = 5;
     cfg.num_threads = paper_threads;
-    const auto time_one = [&](const core::ImagingConfig& c) {
-      const core::AcousticImager imager(c, geometry);
-      const auto start = std::chrono::steady_clock::now();
-      (void)imager.construct_bands(batch.beeps[0],
-                                   echoimage::units::Meters{0.7}, 0.0002,
-                                   batch.noise_only);
-      return std::chrono::duration<double>(
-                 std::chrono::steady_clock::now() - start)
-          .count();
-    };
-    paper_f64_s = time_one(cfg);
-    cfg.numeric_lane = simd::NumericLane::kF32;
-    paper_f32_s = time_one(cfg);
+    const core::AcousticImager imager(cfg, geometry);
+    const auto start = std::chrono::steady_clock::now();
+    (void)imager.construct_bands(batch.beeps[0], echoimage::units::Meters{0.7},
+                                 0.0002, batch.noise_only);
+    paper_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count();
     std::cout << "\n-- paper scale (180x180, 5 bands, "
               << simd::isa_name(simd::active_isa()) << ", " << paper_threads
-              << " thread(s)) --\nf64: " << eval::fmt(paper_f64_s)
-              << " s/image, f32: " << eval::fmt(paper_f32_s)
-              << " s/image (f64/f32 = "
-              << eval::fmt(paper_f32_s > 0.0 ? paper_f64_s / paper_f32_s
-                                             : 0.0)
-              << "x)\n";
+              << " thread(s)) --\n" << eval::fmt(paper_s) << " s/image\n";
   }
 
   std::ofstream json("BENCH_throughput.json");
@@ -327,7 +296,7 @@ int main(int argc, char** argv) {
        << simd::isa_name(simd::best_isa()) << "\",\n    \"lanes\": [\n";
   for (std::size_t i = 0; i < lane_results.size(); ++i) {
     const LaneResult& r = lane_results[i];
-    json << "      {\"isa\": \"" << r.isa << "\", \"lane\": \"" << r.lane
+    json << "      {\"isa\": \"" << r.isa
          << "\", \"images_per_sec\": " << r.images_per_sec
          << ", \"speedup_vs_scalar\": " << r.speedup_vs_scalar
          << ", \"bit_identical\": " << json_bool(r.bit_identical) << "}"
@@ -335,8 +304,7 @@ int main(int argc, char** argv) {
   }
   json << "    ],\n    \"paper_scale\": {\"grid_size\": 180, "
        << "\"num_subbands\": 5, \"threads\": " << paper_threads
-       << ", \"seconds_per_image_f64\": " << paper_f64_s
-       << ", \"seconds_per_image_f32\": " << paper_f32_s << "}\n  },\n";
+       << ", \"seconds_per_image\": " << paper_s << "}\n  },\n";
   json << "  \"determinism_pass\": " << json_bool(deterministic)
        << ",\n  \"lane_pass\": " << json_bool(lanes_ok)
        << ",\n  \"scaling_pass\": "

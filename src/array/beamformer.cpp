@@ -1,11 +1,9 @@
 #include "array/beamformer.hpp"
 
-#include <array>
-#include <cmath>
+#include <algorithm>
 #include <numbers>
 #include <stdexcept>
 
-#include "dsp/fft.hpp"
 #include "dsp/hilbert.hpp"
 #include "simd/kernels.hpp"
 
@@ -15,25 +13,6 @@ using echoimage::dsp::Complex;
 using echoimage::dsp::ComplexSignal;
 using echoimage::linalg::hdot;
 using echoimage::linalg::multiply;
-
-std::vector<Complex> mvdr_weights(const CMatrix& noise_cov,
-                                  const std::vector<Complex>& steering,
-                                  double diagonal_loading) {
-  const std::size_t m = steering.size();
-  if (noise_cov.rows() != m || noise_cov.cols() != m)
-    throw std::invalid_argument("mvdr_weights: shape mismatch");
-  CMatrix loaded = noise_cov;
-  loaded.add_diagonal(diagonal_loading *
-                      std::max(noise_cov.mean_diagonal_real(), 1e-12));
-  // R^-1 a via a Hermitian solve (no explicit inverse needed here).
-  std::vector<Complex> ra =
-      echoimage::linalg::solve_hermitian_loaded(loaded, steering);
-  const Complex denom = hdot(steering, ra);
-  if (std::abs(denom) < 1e-30)
-    throw std::runtime_error("mvdr_weights: degenerate steering vector");
-  for (Complex& w : ra) w /= denom;
-  return ra;
-}
 
 std::vector<Complex> das_weights(const std::vector<Complex>& steering) {
   std::vector<Complex> w = steering;
@@ -57,49 +36,6 @@ ComplexSignal apply_weights(const std::vector<ComplexSignal>& channels,
   return y;
 }
 
-Signal fractional_delay(std::span<const echoimage::dsp::Sample> x,
-                        double sample_rate, double delay_s) {
-  using namespace echoimage::dsp;
-  if (x.empty()) return {};
-  // Pad so the shifted signal cannot wrap around the circular FFT buffer.
-  const std::size_t guard =
-      static_cast<std::size_t>(std::ceil(std::abs(delay_s) * sample_rate)) + 8;
-  const std::size_t m = next_pow2(x.size() + 2 * guard);
-  ComplexSignal spec(m, Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < x.size(); ++i)
-    spec[i + guard] = Complex(x[i], 0.0);
-  fft_pow2_in_place(spec, false);
-  for (std::size_t k = 0; k < m; ++k) {
-    const double f = bin_frequency(k, m, sample_rate);
-    // Delay by tau: X(f) * exp(-j 2 pi f tau).
-    spec[k] *= std::polar(1.0, -2.0 * std::numbers::pi * f * delay_s);
-  }
-  fft_pow2_in_place(spec, true);
-  Signal out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = spec[i + guard].real();
-  return out;
-}
-
-Signal beamform_das_broadband(const MultiChannelSignal& x,
-                              const ArrayGeometry& geom, const Direction& dir,
-                              double sample_rate,
-                              units::MetersPerSecond speed_of_sound) {
-  if (x.num_channels() != geom.num_mics())
-    throw std::invalid_argument(
-        "beamform_das_broadband: channel/mic mismatch");
-  const std::vector<double> taus = tdoas(geom, dir, speed_of_sound);
-  Signal acc(x.length(), 0.0);
-  for (std::size_t m = 0; m < x.num_channels(); ++m) {
-    // Advance each channel by its TDOA so wavefronts from `dir` align.
-    const Signal shifted =
-        fractional_delay(x.channels[m], sample_rate, -taus[m]);
-    echoimage::dsp::add_in_place(acc, shifted);
-  }
-  echoimage::dsp::scale_in_place(acc,
-                                 1.0 / static_cast<double>(x.num_channels()));
-  return acc;
-}
-
 namespace {
 
 /// Validate an active-channel mask against the full channel count. Returns
@@ -116,42 +52,6 @@ bool check_mask(const ChannelMask& mask, std::size_t num_channels) {
 }
 
 }  // namespace
-
-NarrowbandBeamformer::NarrowbandBeamformer(const MultiChannelSignal& bandpassed,
-                                           double sample_rate,
-                                           units::Hertz center_freq,
-                                           ArrayGeometry geom,
-                                           std::size_t noise_first,
-                                           std::size_t noise_count,
-                                           units::MetersPerSecond speed_of_sound,
-                                           const ChannelMask& active_mask)
-    : sample_rate_(sample_rate),
-      center_freq_hz_(center_freq.value()),
-      speed_of_sound_(speed_of_sound.value()) {
-  if (bandpassed.num_channels() != geom.num_mics())
-    throw std::invalid_argument(
-        "NarrowbandBeamformer: channel/mic mismatch");
-  if (!bandpassed.is_rectangular())
-    throw std::invalid_argument(
-        "NarrowbandBeamformer: ragged multichannel capture");
-  const bool reduced = check_mask(active_mask, bandpassed.num_channels());
-  geom_ = reduced ? geom.subarray(active_mask) : std::move(geom);
-  length_ = bandpassed.length();
-  analytic_.reserve(geom_.num_mics());
-  for (std::size_t c = 0; c < bandpassed.num_channels(); ++c) {
-    if (reduced && !active_mask[c]) continue;  // skip faulty channels
-    analytic_.push_back(
-        echoimage::dsp::analytic_signal(bandpassed.channels[c]));
-  }
-  if (noise_count > 0) {
-    noise_cov_ = normalized_covariance(analytic_, noise_first, noise_count);
-  } else {
-    noise_cov_ = white_noise_covariance(geom_.num_mics());
-  }
-  noise_cov_.add_diagonal(1e-3);  // loading keeps the inverse well-behaved
-  noise_cov_inv_ = echoimage::linalg::inverse(noise_cov_);
-  finalize_channels();
-}
 
 NarrowbandBeamformer::NarrowbandBeamformer(const MultiChannelSignal& bandpassed,
                                            double sample_rate,
@@ -191,12 +91,10 @@ NarrowbandBeamformer::NarrowbandBeamformer(const MultiChannelSignal& bandpassed,
 NarrowbandBeamformer::NarrowbandBeamformer(
     std::vector<ComplexSignal> channels, double sample_rate,
     units::Hertz center_freq, ArrayGeometry geom, CMatrix noise_covariance,
-    units::MetersPerSecond speed_of_sound, const ChannelMask& active_mask,
-    simd::NumericLane lane)
+    units::MetersPerSecond speed_of_sound, const ChannelMask& active_mask)
     : sample_rate_(sample_rate),
       center_freq_hz_(center_freq.value()),
-      speed_of_sound_(speed_of_sound.value()),
-      lane_(lane) {
+      speed_of_sound_(speed_of_sound.value()) {
   if (channels.size() != geom.num_mics())
     throw std::invalid_argument("NarrowbandBeamformer: channel/mic mismatch");
   if (noise_covariance.rows() != geom.num_mics() ||
@@ -225,7 +123,6 @@ NarrowbandBeamformer::NarrowbandBeamformer(const NarrowbandBeamformer& other)
       center_freq_hz_(other.center_freq_hz_),
       speed_of_sound_(other.speed_of_sound_),
       length_(other.length_),
-      lane_(other.lane_),
       analytic_(other.analytic_),
       noise_cov_(other.noise_cov_),
       noise_cov_inv_(other.noise_cov_inv_) {
@@ -240,7 +137,6 @@ NarrowbandBeamformer& NarrowbandBeamformer::operator=(
   center_freq_hz_ = other.center_freq_hz_;
   speed_of_sound_ = other.speed_of_sound_;
   length_ = other.length_;
-  lane_ = other.lane_;
   analytic_ = other.analytic_;
   noise_cov_ = other.noise_cov_;
   noise_cov_inv_ = other.noise_cov_inv_;
@@ -252,22 +148,6 @@ void NarrowbandBeamformer::finalize_channels() {
   ch_ptrs_.clear();
   ch_ptrs_.reserve(analytic_.size());
   for (const ComplexSignal& c : analytic_) ch_ptrs_.push_back(c.data());
-  if (lane_ != simd::NumericLane::kF32) return;
-  f32_channels_.clear();
-  f32_channels_.reserve(analytic_.size());
-  f32_ptrs_.clear();
-  f32_ptrs_.reserve(analytic_.size());
-  for (const ComplexSignal& c : analytic_) {
-    simd::AlignedVector<float> f;
-    f.reserve(2 * c.size());
-    for (const Complex& v : c) {
-      f.push_back(static_cast<float>(v.real()));
-      f.push_back(static_cast<float>(v.imag()));
-    }
-    f32_channels_.push_back(std::move(f));
-  }
-  for (const simd::AlignedVector<float>& f : f32_channels_)
-    f32_ptrs_.push_back(f.data());
 }
 
 CMatrix noise_covariance_of(const MultiChannelSignal& noise) {
@@ -355,20 +235,8 @@ double NarrowbandBeamformer::steered_energy(const std::vector<Complex>& w,
   const std::size_t last = std::min(length_, first + count);
   if (first >= last) return 0.0;
   const std::size_t n = last - first;
-  const std::size_t m = analytic_.size();
-  const simd::KernelTable& k = simd::kernels();
-  // The f32 lane converts weights on the stack per call; weight vectors
-  // are bounded by the 64-bit channel masks upstream, so 64 always fits.
-  if (lane_ == simd::NumericLane::kF32 && m <= 64) {
-    std::array<float, 64> wre, wim;
-    for (std::size_t c = 0; c < m; ++c) {
-      wre[c] = static_cast<float>(w[c].real());
-      wim[c] = static_cast<float>(w[c].imag());
-    }
-    return static_cast<double>(k.steered_energy_f32(
-        f32_ptrs_.data(), m, wre.data(), wim.data(), first, n));
-  }
-  return k.steered_energy_f64(ch_ptrs_.data(), m, w.data(), first, n);
+  return simd::kernels().steered_energy_f64(ch_ptrs_.data(), analytic_.size(),
+                                            w.data(), first, n);
 }
 
 double NarrowbandBeamformer::incoherent_energy(std::size_t first,
@@ -377,83 +245,8 @@ double NarrowbandBeamformer::incoherent_energy(std::size_t first,
   const std::size_t m = analytic_.size();
   if (first >= last) return 0.0;
   const std::size_t n = last - first;
-  const simd::KernelTable& k = simd::kernels();
-  if (lane_ == simd::NumericLane::kF32) {
-    return static_cast<double>(
-               k.incoherent_energy_f32(f32_ptrs_.data(), m, first, n)) /
-           static_cast<double>(m);
-  }
-  return k.incoherent_energy_f64(ch_ptrs_.data(), m, first, n) /
+  return simd::kernels().incoherent_energy_f64(ch_ptrs_.data(), m, first, n) /
          static_cast<double>(m);
-}
-
-Signal beamform_subband_mvdr(const MultiChannelSignal& x,
-                             const ArrayGeometry& geom, const Direction& dir,
-                             double sample_rate,
-                             const echoimage::dsp::StftParams& stft_params,
-                             std::size_t noise_first_frame,
-                             std::size_t noise_frame_count,
-                             units::MetersPerSecond speed_of_sound) {
-  using echoimage::dsp::Stft;
-  if (x.num_channels() != geom.num_mics())
-    throw std::invalid_argument("beamform_subband_mvdr: channel/mic mismatch");
-  const std::size_t m = x.num_channels();
-  std::vector<Stft> specs;
-  specs.reserve(m);
-  for (const Signal& c : x.channels)
-    specs.push_back(echoimage::dsp::stft(c, stft_params));
-  const std::size_t num_frames = specs.front().num_frames();
-  const std::size_t num_bins = stft_params.num_bins();
-
-  std::vector<ComplexSignal> out_frames(num_frames,
-                                        ComplexSignal(num_bins));
-  std::vector<Complex> snapshot(m);
-  for (std::size_t k = 0; k < num_bins; ++k) {
-    const double f = specs.front().bin_frequency(k, sample_rate);
-    const std::vector<Complex> a =
-        steering_vector_hz(geom, dir, units::Hertz{f}, speed_of_sound);
-    // Per-bin noise covariance (or white) with diagonal loading.
-    CMatrix r = CMatrix::identity(m);
-    if (noise_frame_count > 0) {
-      r = CMatrix(m, m);
-      std::size_t used = 0;
-      for (std::size_t fr = noise_first_frame;
-           fr < std::min(num_frames, noise_first_frame + noise_frame_count);
-           ++fr) {
-        for (std::size_t c = 0; c < m; ++c) snapshot[c] = specs[c].frames()[fr][k];
-        for (std::size_t i = 0; i < m; ++i)
-          for (std::size_t j = 0; j < m; ++j)
-            r(i, j) += snapshot[i] * std::conj(snapshot[j]);
-        ++used;
-      }
-      if (used > 0) {
-        const double inv = 1.0 / static_cast<double>(used);
-        for (std::size_t i = 0; i < m; ++i)
-          for (std::size_t j = 0; j < m; ++j) r(i, j) *= inv;
-      }
-      const double d = r.mean_diagonal_real();
-      if (d <= 1e-30) {
-        r = CMatrix::identity(m);
-      } else {
-        for (std::size_t i = 0; i < m; ++i)
-          for (std::size_t j = 0; j < m; ++j) r(i, j) /= d;
-      }
-    }
-    std::vector<Complex> w;
-    try {
-      w = mvdr_weights(r, a, 1e-3);
-    } catch (const std::runtime_error&) {
-      w = das_weights(a);
-    }
-    for (std::size_t fr = 0; fr < num_frames; ++fr) {
-      Complex y(0.0, 0.0);
-      for (std::size_t c = 0; c < m; ++c)
-        y += std::conj(w[c]) * specs[c].frames()[fr][k];
-      out_frames[fr][k] = y;
-    }
-  }
-  const Stft combined(stft_params, x.length(), std::move(out_frames));
-  return echoimage::dsp::istft(combined);
 }
 
 std::vector<double> beampattern(const ArrayGeometry& geom,

@@ -1,13 +1,9 @@
 // Beamformer weight computation and application (paper Sec. III-D).
 //
-// Three engines, all steerable to an arbitrary Direction:
-//  * narrowband MVDR / delay-and-sum: complex weights at the chirp's center
-//    frequency applied directly to per-channel analytic signals — the cheap
-//    path used for imaging (one weight vector per virtual-plane grid);
-//  * broadband true-time-delay-and-sum: exact fractional-sample alignment
-//    via FFT phase ramps — the baseline for ablations;
-//  * subband MVDR: per-STFT-bin weights — exact for the 40%-fractional-
-//    bandwidth chirp, used when narrowband error matters.
+// One engine, steerable to an arbitrary Direction: narrowband MVDR /
+// delay-and-sum, i.e. complex weights at a (sub)band's center frequency
+// applied directly to per-channel analytic signals (one weight vector per
+// virtual-plane grid). Imaging and the distance estimator both run on it.
 #pragma once
 
 #include <cstddef>
@@ -16,21 +12,12 @@
 #include "array/covariance.hpp"
 #include "array/geometry.hpp"
 #include "array/steering.hpp"
-#include "dsp/stft.hpp"
-#include "simd/aligned.hpp"
-#include "simd/isa.hpp"
+#include "dsp/signal.hpp"
 
 namespace echoimage::array {
 
 using echoimage::dsp::MultiChannelSignal;
 using echoimage::dsp::Signal;
-
-/// MVDR weights w = R^-1 a / (a^H R^-1 a) (paper Eq. 8), with relative
-/// diagonal loading for numerical robustness. Throws std::invalid_argument
-/// on shape mismatch.
-[[nodiscard]] std::vector<Complex> mvdr_weights(const CMatrix& noise_cov,
-                                                const std::vector<Complex>& steering,
-                                                double diagonal_loading = 1e-6);
 
 /// Delay-and-sum weights w = a / M (the MVDR solution for spatially white
 /// noise).
@@ -44,43 +31,21 @@ using echoimage::dsp::Signal;
     const std::vector<echoimage::dsp::ComplexSignal>& channels,
     const std::vector<Complex>& w);
 
-/// Shift a real signal by `delay_s` seconds (positive = later) with an FFT
-/// phase ramp — exact fractional-sample delay, circular edges zero-suppressed
-/// by internal padding.
-[[nodiscard]] Signal fractional_delay(std::span<const echoimage::dsp::Sample> x,
-                                      double sample_rate, double delay_s);
-
-/// Broadband true-time-delay-and-sum toward `dir`: advances each channel by
-/// its TDOA and averages.
-[[nodiscard]] Signal beamform_das_broadband(
-    const MultiChannelSignal& x, const ArrayGeometry& geom,
-    const Direction& dir, double sample_rate,
-    units::MetersPerSecond speed_of_sound = kSpeedOfSoundMps);
-
 /// Narrowband steering engine: computes per-channel analytic signals and the
 /// (loaded, inverted) noise covariance once, then steers to many directions
 /// cheaply. This is the workhorse of acoustic-image construction, where one
 /// capture is steered to every grid of the imaging plane.
 class NarrowbandBeamformer {
  public:
-  /// `bandpassed` is the band-pass-filtered capture; the noise covariance is
-  /// estimated from analytic snapshots [noise_first, noise_first +
-  /// noise_count) (pass noise_count = 0 for the white-noise assumption).
-  /// `active_mask` (empty = all) drops faulty channels before anything else:
-  /// the beamformer then operates as the surviving subarray, so one dead
+  /// `bandpassed` is the band-pass-filtered capture; `noise_covariance` is
+  /// estimated externally, e.g. from a separate noise-only capture
+  /// (estimating it from a prefix of the same buffer is biased: the Hilbert
+  /// transform is nonlocal, so a strong chirp later in the buffer leaks
+  /// coherent tails into the prefix), or white_noise_covariance() for the
+  /// white-noise assumption. The covariance is full-size. `active_mask`
+  /// (empty = all) drops faulty channels before anything else: the
+  /// beamformer then operates as the surviving subarray, so one dead
   /// microphone cannot poison the covariance of Eq. 8.
-  NarrowbandBeamformer(const MultiChannelSignal& bandpassed,
-                       double sample_rate, units::Hertz center_freq,
-                       ArrayGeometry geom, std::size_t noise_first = 0,
-                       std::size_t noise_count = 0,
-                       units::MetersPerSecond speed_of_sound = kSpeedOfSoundMps,
-                       const ChannelMask& active_mask = {});
-
-  /// Variant with an externally estimated noise covariance (e.g. from a
-  /// separate noise-only capture — estimating it from a prefix of the same
-  /// buffer is biased: the Hilbert transform is nonlocal, so a strong chirp
-  /// later in the buffer leaks coherent tails into the prefix). The
-  /// covariance is full-size; the mask reduces it to the subarray.
   NarrowbandBeamformer(const MultiChannelSignal& bandpassed,
                        double sample_rate, units::Hertz center_freq,
                        ArrayGeometry geom, CMatrix noise_covariance,
@@ -88,23 +53,17 @@ class NarrowbandBeamformer {
                        const ChannelMask& active_mask = {});
 
   /// Variant taking per-channel complex (analytic or pulse-compressed)
-  /// signals directly. `lane` picks the numeric lane for the energy
-  /// kernels: kF64 is bit-identical to the historical scalar loops; kF32
-  /// converts the channels once to interleaved float (kept alongside the
-  /// f64 data) and evaluates energies in single precision — a pinned
-  /// relative-error bound away from kF64 (DESIGN.md, "SIMD &
-  /// numeric-lane model"). Weight computation stays f64 in both lanes.
+  /// signals directly.
   NarrowbandBeamformer(std::vector<echoimage::dsp::ComplexSignal> channels,
                        double sample_rate, units::Hertz center_freq,
                        ArrayGeometry geom, CMatrix noise_covariance,
                        units::MetersPerSecond speed_of_sound = kSpeedOfSoundMps,
-                       const ChannelMask& active_mask = {},
-                       simd::NumericLane lane = simd::NumericLane::kF64);
+                       const ChannelMask& active_mask = {});
 
-  /// Copies rebuild the kernel-facing channel-pointer arrays against their
-  /// own buffers (the default member-wise copy would leave them aimed into
+  /// Copies rebuild the kernel-facing channel-pointer array against their
+  /// own buffers (the default member-wise copy would leave it aimed into
   /// the source object). Moves transfer the heap buffers wholesale, so the
-  /// pointer arrays stay valid and the defaults are correct.
+  /// pointer array stays valid and the defaults are correct.
   NarrowbandBeamformer(const NarrowbandBeamformer& other);
   NarrowbandBeamformer& operator=(const NarrowbandBeamformer& other);
   NarrowbandBeamformer(NarrowbandBeamformer&&) = default;
@@ -158,13 +117,9 @@ class NarrowbandBeamformer {
   [[nodiscard]] double incoherent_energy(std::size_t first,
                                          std::size_t count) const;
 
-  /// Numeric lane the energy kernels run on.
-  [[nodiscard]] simd::NumericLane numeric_lane() const { return lane_; }
-
  private:
-  /// Builds the kernel-facing channel pointer arrays (and, on the f32
-  /// lane, the interleaved float copies). Called once per constructor
-  /// after analytic_ is final.
+  /// Builds the kernel-facing channel pointer array. Called once per
+  /// constructor after analytic_ is final.
   void finalize_channels();
 
   ArrayGeometry geom_;
@@ -172,11 +127,8 @@ class NarrowbandBeamformer {
   double center_freq_hz_;
   double speed_of_sound_;
   std::size_t length_ = 0;
-  simd::NumericLane lane_ = simd::NumericLane::kF64;
   std::vector<echoimage::dsp::ComplexSignal> analytic_;
   std::vector<const Complex*> ch_ptrs_;  ///< kernel view of analytic_
-  std::vector<simd::AlignedVector<float>> f32_channels_;  ///< kF32 only
-  std::vector<const float*> f32_ptrs_;
   CMatrix noise_cov_;      ///< normalized, loaded
   CMatrix noise_cov_inv_;  ///< cached inverse for weight computation
 };
@@ -189,16 +141,6 @@ class NarrowbandBeamformer {
 /// all channels).
 [[nodiscard]] CMatrix noise_covariance_of(const MultiChannelSignal& noise,
                                           const ChannelMask& mask);
-
-/// Subband MVDR: per-bin weights from per-bin steering vectors; noise
-/// covariance estimated per bin over frames [noise_first_frame,
-/// noise_first_frame + noise_frame_count) (0 count = white noise).
-[[nodiscard]] Signal beamform_subband_mvdr(
-    const MultiChannelSignal& x, const ArrayGeometry& geom,
-    const Direction& dir, double sample_rate,
-    const echoimage::dsp::StftParams& stft_params,
-    std::size_t noise_first_frame = 0, std::size_t noise_frame_count = 0,
-    units::MetersPerSecond speed_of_sound = kSpeedOfSoundMps);
 
 /// Power beampattern of a weight vector: |w^H a(dir)|^2 for each direction.
 [[nodiscard]] std::vector<double> beampattern(

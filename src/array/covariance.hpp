@@ -2,8 +2,7 @@
 //
 // The MVDR weights (paper Eq. 8) need rho_n, the normalized covariance of
 // the background noise across the M microphones. We estimate it from
-// noise-only snapshots (samples before the probing chirp fires) of the
-// analytic signals, or per STFT bin for the subband engine.
+// noise-only snapshots of the analytic signals.
 #pragma once
 
 #include <cstddef>

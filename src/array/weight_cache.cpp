@@ -34,8 +34,7 @@ std::size_t WeightKeyHash::operator()(const WeightKey& k) const {
   h = fnv1a_u64(h, k.speed_bits);
   h = fnv1a_u64(h, k.mask_bits);
   h = fnv1a_u64(h, k.cov_fingerprint);
-  h = fnv1a_u64(h, (static_cast<std::uint64_t>(k.lane) << 1) |
-                       (k.mvdr ? 1u : 0u));
+  h = fnv1a_u64(h, k.mvdr ? 1u : 0u);
   return static_cast<std::size_t>(h);
 }
 

@@ -29,11 +29,7 @@
 //                                  in length),
 //   * covariance fingerprint     — a different noise field invalidates the
 //                                  MVDR solve,
-//   * mvdr flag                  — MVDR and delay-and-sum never mix,
-//   * numeric lane               — weights are f64 in both lanes, but the
-//                                  energies they feed are not; keeping f32
-//                                  and f64 imaging runs in separate entries
-//                                  keeps each lane's bit-replay honest.
+//   * mvdr flag                  — MVDR and delay-and-sum never mix.
 //
 // Determinism. Weights are computed by the caller and inserted verbatim,
 // and a hit returns exactly the inserted bits. With a nonzero distance
@@ -72,7 +68,6 @@ struct WeightKey {
   std::uint64_t mask_bits = 0;     ///< active-channel bitset (see mask_bits)
   std::uint64_t cov_fingerprint = 0;
   bool mvdr = true;
-  std::uint8_t lane = 0;  ///< simd::NumericLane of the consuming imager
 
   bool operator==(const WeightKey&) const = default;
 };

@@ -205,20 +205,23 @@ BackgroundReference DriftMonitor::make_reference(
     }
   }
 
-  // Noise-gap statistics: per-channel AC RMS and a geometrically banded
-  // power spectrum averaged over channels.
+  // Noise-gap statistics: a geometrically banded power spectrum averaged
+  // over channels. Each channel is zero-padded to a power of two, and each
+  // bin's power is divided by the unpadded gap length, so a longer gap of
+  // the same room reads the same power spectral density, not a louder one.
   if (noise_only.num_channels() > 0 && noise_only.length() > 0) {
     std::vector<double> band_power(config_.num_noise_bands, 0.0);
     std::vector<std::size_t> band_bins(config_.num_noise_bands, 0);
     const double log_span =
         std::log(config_.noise_band_high_hz / config_.noise_band_low_hz);
     for (const Signal& ch : noise_only.channels) {
-      Signal ac = ch;
       double mean = 0.0;
-      for (const double v : ac) mean += v;
-      mean /= static_cast<double>(ac.size());
-      for (double& v : ac) v -= mean;
-      const echoimage::dsp::ComplexSignal spec = echoimage::dsp::fft_real(ac);
+      for (const double v : ch) mean += v;
+      mean /= static_cast<double>(ch.size());
+      echoimage::dsp::ComplexSignal spec(echoimage::dsp::next_pow2(ch.size()));
+      for (std::size_t i = 0; i < ch.size(); ++i) spec[i] = ch[i] - mean;
+      echoimage::dsp::fft_pow2_in_place(spec, false);
+      const double gap = static_cast<double>(ch.size());
       for (std::size_t k = 1; k <= spec.size() / 2; ++k) {
         const double f = echoimage::dsp::bin_frequency(k, spec.size(),
                                                        config_.sample_rate);
@@ -229,7 +232,7 @@ BackgroundReference DriftMonitor::make_reference(
             config_.num_noise_bands - 1,
             static_cast<std::size_t>(frac *
                                      static_cast<double>(config_.num_noise_bands)));
-        band_power[b] += std::norm(spec[k]);
+        band_power[b] += std::norm(spec[k]) / gap;
         ++band_bins[b];
       }
     }

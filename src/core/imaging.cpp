@@ -291,8 +291,7 @@ std::vector<Matrix2D> AcousticImager::band_energies(
         const NarrowbandBeamformer& bf = beamformers[band].emplace(
             std::move(windows[band]), config_.sample_rate,
             units::Hertz{subband_centers_[band]}, geometry_,
-            context.covariances_[band], config_.speed_of_sound, mask,
-            config_.numeric_lane);
+            context.covariances_[band], config_.speed_of_sound, mask);
         if (mix > 0.0)
           for (std::size_t g = 0; g < gates.gates.size(); ++g)
             incoherent[band][g] = bf.incoherent_energy(

@@ -21,7 +21,6 @@
 #include "ml/tensor.hpp"
 #include "obs/observability.hpp"
 #include "runtime/thread_pool.hpp"
-#include "simd/isa.hpp"
 
 namespace echoimage::array {
 class WeightCache;
@@ -86,12 +85,6 @@ struct ImagingConfig {
   /// bit-identical images: every task writes its own slots and bands
   /// accumulate in a fixed order (see DESIGN.md, "Threading model").
   std::size_t num_threads = 1;
-  /// Numeric lane of the beamformer energy kernels. kF64 (default) is
-  /// bit-identical to the historical pipeline on every ISA lane; kF32
-  /// halves the energy-core bandwidth at a pinned relative-error bound
-  /// (DESIGN.md, "SIMD & numeric-lane model"). Weight solves, filters and
-  /// FFTs stay f64 either way.
-  echoimage::simd::NumericLane numeric_lane = echoimage::simd::NumericLane::kF64;
 };
 
 /// One acoustic image: a stack of per-spectral-band grids. Single-band

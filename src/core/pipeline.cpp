@@ -57,9 +57,7 @@ std::string SystemConfig::describe() const {
      << "threads: " << num_threads << (num_threads == 0 ? " (auto)" : "")
      << "\n"
      << "simd: " << simd_isa << " (active "
-     << echoimage::simd::isa_name(echoimage::simd::active_isa())
-     << "), numeric lane "
-     << echoimage::simd::lane_name(imaging.numeric_lane) << "\n"
+     << echoimage::simd::isa_name(echoimage::simd::active_isa()) << ")\n"
      << "chirp: " << chirp.f_start.value() << "-" << chirp.f_end.value()
      << " Hz, " << chirp.duration.value() * 1000.0 << " ms\n"
      << "band-pass: " << distance.bandpass_low_hz << "-"

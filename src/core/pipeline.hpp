@@ -57,9 +57,9 @@ struct SystemConfig {
   /// SIMD lane for the DSP kernels: "auto" (best supported), or one of
   /// "scalar" / "sse2" / "avx2" / "neon" to force a lane (testing and
   /// triage; must be supported on the machine). Applied process-wide when
-  /// the pipeline is constructed. Every lane produces bit-identical f64
+  /// the pipeline is constructed. Every lane produces bit-identical
   /// results — this knob changes speed, never pixels (see DESIGN.md,
-  /// "SIMD & numeric-lane model").
+  /// "SIMD model").
   std::string simd_isa = "auto";
 
   /// Propagate the shared fields (sample rate, chirp, band) into the

@@ -90,13 +90,6 @@ bool is_rectangular(const std::vector<Signal>& x) {
 
 std::vector<Signal> SosCascade::filter_multi(
     const std::vector<Signal>& x) const {
-  if (x.empty()) return {};
-  if (!is_rectangular(x) || x.size() < 2 || x.front().empty()) {
-    std::vector<Signal> out;
-    out.reserve(x.size());
-    for (const Signal& c : x) out.push_back(filter(c));
-    return out;
-  }
   const std::size_t width = x.size();
   const std::size_t frames = x.front().size();
   // Channel-interleaved frames: packed[t * width + c] = x[c][t].

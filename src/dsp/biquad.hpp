@@ -54,20 +54,20 @@ class SosCascade {
   /// keeps matched-filter peak positions honest.
   [[nodiscard]] Signal filtfilt(std::span<const Sample> x) const;
 
-  /// Lockstep multi-channel filter(): every equal-length channel advances
+  /// Lockstep multi-channel filtfilt(): every equal-length channel advances
   /// through the cascade one frame at a time, vectorized across channels
   /// (simd sos_section kernel). Each channel's DF2T recurrence is
-  /// independent, so the output is bit-identical to calling filter() per
-  /// channel; ragged inputs fall back to exactly that.
-  [[nodiscard]] std::vector<Signal> filter_multi(
-      const std::vector<Signal>& x) const;
-
-  /// Lockstep multi-channel filtfilt(); bit-identical to per-channel
-  /// filtfilt() for the same reason.
+  /// independent, so the output is bit-identical to calling filtfilt() per
+  /// channel; ragged, single-channel and empty inputs fall back to exactly
+  /// that.
   [[nodiscard]] std::vector<Signal> filtfilt_multi(
       const std::vector<Signal>& x) const;
 
  private:
+  /// Lockstep filter() over two or more non-empty equal-length channels.
+  [[nodiscard]] std::vector<Signal> filter_multi(
+      const std::vector<Signal>& x) const;
+
   std::vector<BiquadSection> sections_;
   double gain_ = 1.0;
 };

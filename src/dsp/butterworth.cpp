@@ -163,34 +163,4 @@ SosCascade butterworth_lowpass(std::size_t order, double cutoff_hz,
   return cascade;
 }
 
-SosCascade butterworth_highpass(std::size_t order, double cutoff_hz,
-                                double sample_rate) {
-  if (order == 0) throw std::invalid_argument("butterworth: order must be >=1");
-  check_edge(cutoff_hz, sample_rate, "cutoff");
-  const double fs = sample_rate;
-  const double wc = prewarp(cutoff_hz, fs);
-
-  std::vector<BiquadSection> sections;
-  for (const Complex& p : prototype_poles(order)) {
-    if (p.imag() < -1e-12) continue;
-    // High-pass transform s -> wc / s.
-    const Complex zp = bilinear(wc / p, fs);
-    if (std::abs(p.imag()) < 1e-12) {
-      BiquadSection s;
-      s.b0 = 1.0;
-      s.b1 = -1.0;
-      s.b2 = 0.0;
-      s.a1 = -zp.real();
-      s.a2 = 0.0;
-      sections.push_back(s);
-    } else {
-      sections.push_back(section_from_conjugate_pole(zp, 1.0, -2.0, 1.0));
-    }
-  }
-  SosCascade cascade(std::move(sections), 1.0);
-  const double mag = std::abs(cascade.response(kPi));
-  if (mag > 0.0) cascade.set_gain(1.0 / mag);
-  return cascade;
-}
-
 }  // namespace echoimage::dsp

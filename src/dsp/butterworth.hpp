@@ -23,9 +23,4 @@ namespace echoimage::dsp {
                                              double cutoff_hz,
                                              double sample_rate);
 
-/// High-pass Butterworth design of the given order.
-[[nodiscard]] SosCascade butterworth_highpass(std::size_t order,
-                                              double cutoff_hz,
-                                              double sample_rate);
-
 }  // namespace echoimage::dsp

@@ -1,11 +1,8 @@
 #include "dsp/fft.hpp"
 
-#include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 #include "simd/fft_plan.hpp"
-#include "simd/kernels.hpp"
 
 namespace echoimage::dsp {
 
@@ -27,117 +24,11 @@ void fft_pow2_in_place(ComplexSignal& x, bool inverse) {
   simd::FftPlan::for_size(n).execute(x.data(), inverse);
 }
 
-namespace {
-
-// Bluestein chirp-z transform: expresses an arbitrary-N DFT as a
-// convolution, evaluated with a power-of-two FFT.
-ComplexSignal bluestein(const ComplexSignal& x, bool inverse) {
-  const std::size_t n = x.size();
-  const std::size_t m = next_pow2(2 * n - 1);
-  const double sign = inverse ? 1.0 : -1.0;
-
-  // Chirp factors w[k] = exp(sign * i * pi * k^2 / n). k^2 mod 2n keeps the
-  // angle argument bounded for large k.
-  ComplexSignal w(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t k2 = (k * k) % (2 * n);
-    const double ang =
-        sign * std::numbers::pi * static_cast<double>(k2) / static_cast<double>(n);
-    w[k] = Complex(std::cos(ang), std::sin(ang));
-  }
-
-  ComplexSignal a(m, Complex(0.0, 0.0));
-  ComplexSignal b(m, Complex(0.0, 0.0));
-  for (std::size_t k = 0; k < n; ++k) a[k] = x[k] * w[k];
-  b[0] = std::conj(w[0]);
-  for (std::size_t k = 1; k < n; ++k) b[k] = b[m - k] = std::conj(w[k]);
-
-  fft_pow2_in_place(a, false);
-  fft_pow2_in_place(b, false);
-  simd::kernels().complex_mul_f64(a.data(), b.data(), m);
-  fft_pow2_in_place(a, true);
-
-  ComplexSignal out(n);
-  for (std::size_t k = 0; k < n; ++k) out[k] = a[k] * w[k];
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (Complex& c : out) c *= inv_n;
-  }
-  return out;
-}
-
-}  // namespace
-
-ComplexSignal fft(const ComplexSignal& x) {
-  if (x.empty()) return {};
-  if (is_pow2(x.size())) {
-    ComplexSignal y = x;
-    fft_pow2_in_place(y, false);
-    return y;
-  }
-  return bluestein(x, false);
-}
-
-ComplexSignal ifft(const ComplexSignal& x) {
-  if (x.empty()) return {};
-  if (is_pow2(x.size())) {
-    ComplexSignal y = x;
-    fft_pow2_in_place(y, true);
-    return y;
-  }
-  return bluestein(x, true);
-}
-
-ComplexSignal fft_real(std::span<const Sample> x) {
-  ComplexSignal c(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) c[i] = Complex(x[i], 0.0);
-  return fft(c);
-}
-
-Signal ifft_real(const ComplexSignal& x) {
-  const ComplexSignal y = ifft(x);
-  Signal out(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) out[i] = y[i].real();
-  return out;
-}
-
 double bin_frequency(std::size_t k, std::size_t n, double sample_rate) {
   if (n == 0) throw std::invalid_argument("bin_frequency: n == 0");
   const double kk = (k <= n / 2) ? static_cast<double>(k)
                                  : static_cast<double>(k) - static_cast<double>(n);
   return kk * sample_rate / static_cast<double>(n);
-}
-
-std::size_t frequency_bin(double freq_hz, std::size_t n, double sample_rate) {
-  if (n == 0) throw std::invalid_argument("frequency_bin: n == 0");
-  const double k = freq_hz * static_cast<double>(n) / sample_rate;
-  const auto kk = static_cast<long>(std::lround(k));
-  if (kk < 0) return 0;
-  return std::min<std::size_t>(static_cast<std::size_t>(kk), n / 2);
-}
-
-Signal fft_convolve(std::span<const Sample> a, std::span<const Sample> b) {
-  if (a.empty() || b.empty()) return {};
-  const std::size_t out_len = a.size() + b.size() - 1;
-  const std::size_t m = next_pow2(out_len);
-  ComplexSignal fa(m, Complex(0.0, 0.0));
-  ComplexSignal fb(m, Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < a.size(); ++i) fa[i] = Complex(a[i], 0.0);
-  for (std::size_t i = 0; i < b.size(); ++i) fb[i] = Complex(b[i], 0.0);
-  fft_pow2_in_place(fa, false);
-  fft_pow2_in_place(fb, false);
-  simd::kernels().complex_mul_f64(fa.data(), fb.data(), m);
-  fft_pow2_in_place(fa, true);
-  Signal out(out_len);
-  for (std::size_t i = 0; i < out_len; ++i) out[i] = fa[i].real();
-  return out;
-}
-
-Signal fft_correlate(std::span<const Sample> a, std::span<const Sample> b) {
-  if (a.empty() || b.empty()) return {};
-  // Correlation is convolution with the reversed second signal.
-  Signal br(b.rbegin(), b.rend());
-  return fft_convolve(a, br);
 }
 
 }  // namespace echoimage::dsp

@@ -1,9 +1,9 @@
-// Fast Fourier transforms for the EchoImage DSP stack.
+// Fast Fourier transform for the EchoImage DSP stack.
 //
-// Provides an in-place radix-2 Cooley–Tukey transform for power-of-two sizes
-// and a Bluestein (chirp-z) transform for arbitrary sizes, plus real-signal
-// conveniences. All transforms are unnormalized forward / (1/N)-normalized
-// inverse, matching the usual engineering convention.
+// One in-place radix-2 Cooley–Tukey transform for power-of-two sizes; callers
+// with other lengths zero-pad to next_pow2(). The forward transform is
+// unnormalized and the inverse (1/N)-normalized, matching the usual
+// engineering convention.
 #pragma once
 
 #include <cstddef>
@@ -23,35 +23,9 @@ namespace echoimage::dsp {
 /// inverse transform.
 void fft_pow2_in_place(ComplexSignal& x, bool inverse);
 
-/// FFT of arbitrary length via Bluestein's algorithm (falls back to the
-/// radix-2 path when the size is already a power of two).
-[[nodiscard]] ComplexSignal fft(const ComplexSignal& x);
-
-/// Inverse FFT of arbitrary length, (1/N)-normalized.
-[[nodiscard]] ComplexSignal ifft(const ComplexSignal& x);
-
-/// FFT of a real signal; returns the full N-point complex spectrum.
-[[nodiscard]] ComplexSignal fft_real(std::span<const Sample> x);
-
-/// Real part of the inverse FFT (for spectra of real signals).
-[[nodiscard]] Signal ifft_real(const ComplexSignal& x);
-
 /// Frequency (Hz) of FFT bin `k` for an N-point transform at `sample_rate`.
 /// Bins above N/2 map to their negative frequencies.
 [[nodiscard]] double bin_frequency(std::size_t k, std::size_t n,
                                    double sample_rate);
-
-/// Bin index (0..N/2) closest to `freq_hz` for an N-point transform.
-[[nodiscard]] std::size_t frequency_bin(double freq_hz, std::size_t n,
-                                        double sample_rate);
-
-/// Linear convolution of two real signals via FFT (length a+b-1).
-[[nodiscard]] Signal fft_convolve(std::span<const Sample> a,
-                                  std::span<const Sample> b);
-
-/// Full cross-correlation r[k] = sum_t a[t+k-(nb-1)] * b[t] for
-/// k in [0, na+nb-2]; lag zero sits at index nb-1.
-[[nodiscard]] Signal fft_correlate(std::span<const Sample> a,
-                                   std::span<const Sample> b);
 
 }  // namespace echoimage::dsp

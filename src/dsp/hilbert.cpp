@@ -58,9 +58,4 @@ Signal moving_average(std::span<const Sample> x, std::size_t len) {
   return out;
 }
 
-Signal smoothed_envelope(std::span<const Sample> x, std::size_t smooth_len) {
-  const Signal env = envelope(x);
-  return moving_average(env, smooth_len);
-}
-
 }  // namespace echoimage::dsp

@@ -20,12 +20,8 @@ namespace echoimage::dsp {
 /// Instantaneous amplitude |analytic_signal(x)|.
 [[nodiscard]] Signal envelope(std::span<const Sample> x);
 
-/// Envelope followed by a centered moving-average smoother of `smooth_len`
-/// samples (odd lengths keep the delay at zero; even lengths are rounded up).
-[[nodiscard]] Signal smoothed_envelope(std::span<const Sample> x,
-                                       std::size_t smooth_len);
-
-/// Centered moving average with reflected edges.
+/// Centered moving average with reflected edges (even lengths are rounded
+/// up to odd, which keeps the delay at zero).
 [[nodiscard]] Signal moving_average(std::span<const Sample> x,
                                     std::size_t len);
 

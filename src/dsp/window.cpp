@@ -33,24 +33,4 @@ double window_value(WindowType type, double u, double tukey_alpha) {
   throw std::invalid_argument("window_value: unknown window type");
 }
 
-Signal make_window(WindowType type, std::size_t n, double tukey_alpha) {
-  Signal w(n);
-  if (n == 0) return w;
-  if (n == 1) {
-    w[0] = window_value(type, 0.5, tukey_alpha);
-    return w;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const double u = static_cast<double>(i) / static_cast<double>(n - 1);
-    w[i] = window_value(type, u, tukey_alpha);
-  }
-  return w;
-}
-
-void apply_window(Signal& x, std::span<const Sample> w) {
-  if (x.size() != w.size())
-    throw std::invalid_argument("apply_window: length mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] *= w[i];
-}
-
 }  // namespace echoimage::dsp

@@ -1,10 +1,5 @@
-// Window functions used for chirp shaping, STFT analysis, and envelope
-// smoothing.
+// Window functions used for chirp shaping.
 #pragma once
-
-#include <cstddef>
-
-#include "dsp/signal.hpp"
 
 namespace echoimage::dsp {
 
@@ -21,14 +16,5 @@ enum class WindowType {
 /// [0, 1] the window is zero.
 [[nodiscard]] double window_value(WindowType type, double u,
                                   double tukey_alpha = 0.5);
-
-/// Sampled window of `n` points spanning u = 0..1 inclusive of endpoints
-/// (periodicity is not needed for our uses).
-[[nodiscard]] Signal make_window(WindowType type, std::size_t n,
-                                 double tukey_alpha = 0.5);
-
-/// Multiply x by the window in place. Throws std::invalid_argument on
-/// length mismatch.
-void apply_window(Signal& x, std::span<const Sample> w);
 
 }  // namespace echoimage::dsp

@@ -1,6 +1,5 @@
 #include "ident/identify.hpp"
 
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -9,11 +8,6 @@
 namespace echoimage::ident {
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 const std::vector<double> kCountBuckets = {0,  1,  2,   4,   8,
                                            16, 32, 64, 128, 256};
@@ -77,7 +71,6 @@ void Identifier::attach_observability(
     tracer_ = nullptr;
     identified_ = unknown_ = abstained_storage_ = rebuilds_ = nullptr;
     shortlist_size_ = verifier_runs_hist_ = nullptr;
-    last_prefilter_s_ = last_verify_s_ = nullptr;
     cache_->attach_counters(nullptr, nullptr);
     return;
   }
@@ -89,11 +82,6 @@ void Identifier::attach_observability(
   rebuilds_ = &m.counter("ident.index_rebuilds");
   shortlist_size_ = &m.histogram("ident.shortlist_size", kCountBuckets);
   verifier_runs_hist_ = &m.histogram("ident.verifier_runs", kCountBuckets);
-  // Stage latencies are timing-derived, so they live in gauges and trace
-  // spans (both excluded from the deterministic structural report), never
-  // in histogram buckets.
-  last_prefilter_s_ = &m.gauge("ident.last_prefilter_s");
-  last_verify_s_ = &m.gauge("ident.last_verify_s");
   cache_->attach_counters(&m.counter("ident.verifier_cache.hits"),
                           &m.counter("ident.verifier_cache.misses"));
 }
@@ -135,18 +123,15 @@ IdentifyResult Identifier::identify(const std::vector<double>& feature) {
   EI_SPAN(tracer_, "ident.identify");
   IdentifyResult result;
 
-  auto t0 = std::chrono::steady_clock::now();
   {
     EI_SPAN(tracer_, "ident.prefilter");
     index_.distances(feature, config_.metric, pool_, distances_);
     result.shortlist =
         top_k_shortlist(index_, distances_, config_.shortlist_k);
   }
-  if (last_prefilter_s_ != nullptr) last_prefilter_s_->set(seconds_since(t0));
   if (shortlist_size_ != nullptr)
     shortlist_size_->observe(static_cast<double>(result.shortlist.size()));
 
-  t0 = std::chrono::steady_clock::now();
   std::size_t best = result.shortlist.size();  // npos sentinel
   core::AuthDecision best_decision;
   {
@@ -179,7 +164,6 @@ IdentifyResult Identifier::identify(const std::vector<double>& feature) {
       }
     }
   }
-  if (last_verify_s_ != nullptr) last_verify_s_->set(seconds_since(t0));
   if (verifier_runs_hist_ != nullptr)
     verifier_runs_hist_->observe(static_cast<double>(result.verifier_runs));
 

@@ -133,8 +133,6 @@ class Identifier {
   const obs::Counter* rebuilds_ = nullptr;
   const obs::Histogram* shortlist_size_ = nullptr;
   const obs::Histogram* verifier_runs_hist_ = nullptr;
-  const obs::Gauge* last_prefilter_s_ = nullptr;
-  const obs::Gauge* last_verify_s_ = nullptr;
 };
 
 }  // namespace echoimage::ident

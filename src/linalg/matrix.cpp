@@ -88,76 +88,6 @@ CMatrix outer(const std::vector<Complex>& x, const std::vector<Complex>& y) {
   return m;
 }
 
-namespace {
-
-// Lower-triangular Cholesky factor of a Hermitian positive-definite matrix;
-// throws std::runtime_error when a non-positive pivot appears.
-CMatrix cholesky(const CMatrix& a) {
-  const std::size_t n = a.rows();
-  if (a.cols() != n)
-    throw std::invalid_argument("cholesky: matrix must be square");
-  CMatrix l(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      Complex s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * std::conj(l(j, k));
-      if (i == j) {
-        const double d = s.real();
-        if (d <= 0.0 || !std::isfinite(d))
-          throw std::runtime_error("cholesky: matrix not positive definite");
-        l(i, i) = Complex(std::sqrt(d), 0.0);
-      } else {
-        l(i, j) = s / l(j, j);
-      }
-    }
-  }
-  return l;
-}
-
-}  // namespace
-
-std::vector<Complex> solve_hermitian(const CMatrix& a,
-                                     const std::vector<Complex>& b) {
-  const std::size_t n = a.rows();
-  if (b.size() != n)
-    throw std::invalid_argument("solve_hermitian: shape mismatch");
-  const CMatrix l = cholesky(a);
-  // Forward substitution: L y = b.
-  std::vector<Complex> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Complex s = b[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
-    y[i] = s / l(i, i);
-  }
-  // Backward substitution: L^H x = y.
-  std::vector<Complex> x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    Complex s = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) s -= std::conj(l(k, ii)) * x[k];
-    x[ii] = s / l(ii, ii);
-  }
-  return x;
-}
-
-std::vector<Complex> solve_hermitian_loaded(const CMatrix& a,
-                                            const std::vector<Complex>& b,
-                                            double initial_loading) {
-  const double scale = std::max(a.mean_diagonal_real(), 1e-300);
-  double loading = initial_loading;
-  CMatrix work = a;
-  for (int attempt = 0; attempt < 40; ++attempt) {
-    try {
-      return solve_hermitian(work, b);
-    } catch (const std::runtime_error&) {
-      work = a;
-      work.add_diagonal(loading * scale);
-      loading *= 10.0;
-    }
-  }
-  throw std::runtime_error(
-      "solve_hermitian_loaded: failed even with heavy diagonal loading");
-}
-
 CMatrix inverse(const CMatrix& a) {
   const std::size_t n = a.rows();
   if (a.cols() != n)

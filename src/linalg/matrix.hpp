@@ -1,8 +1,8 @@
 // Small dense matrix types for array processing.
 //
-// MVDR weights (paper Eq. 8) need Hermitian solves of M x M covariance
-// matrices where M is the microphone count (6 for a ReSpeaker-class array),
-// so a simple dense row-major implementation is the right tool.
+// MVDR weights (paper Eq. 8) need the inverse of M x M covariance matrices
+// where M is the microphone count (6 for a ReSpeaker-class array), so a
+// simple dense row-major implementation is the right tool.
 #pragma once
 
 #include <cstddef>
@@ -73,18 +73,6 @@ void multiply_into(const CMatrix& a, const std::vector<Complex>& x,
 /// Outer product x y^H as a matrix.
 [[nodiscard]] CMatrix outer(const std::vector<Complex>& x,
                             const std::vector<Complex>& y);
-
-/// Solve A x = b for Hermitian positive-definite A via Cholesky
-/// factorization. Throws std::invalid_argument on shape mismatch and
-/// std::runtime_error when A is not (numerically) positive definite.
-[[nodiscard]] std::vector<Complex> solve_hermitian(
-    const CMatrix& a, const std::vector<Complex>& b);
-
-/// Robust variant: retries with geometrically increasing diagonal loading
-/// (relative to the mean diagonal) until the Cholesky succeeds.
-[[nodiscard]] std::vector<Complex> solve_hermitian_loaded(
-    const CMatrix& a, const std::vector<Complex>& b,
-    double initial_loading = 1e-9);
 
 /// General inverse via Gauss-Jordan with partial pivoting. Throws
 /// std::runtime_error for (numerically) singular input.

@@ -11,13 +11,6 @@
 // exception of the lowest failing index is rethrown: every lower index was
 // already claimed and ran to completion, so that choice does not depend on
 // scheduling.
-//
-// `parallel_reduce` needs one more invariant: floating-point reduction
-// order must not depend on how many workers ran. It therefore chunks by a
-// fixed `grain` (independent of the pool size), folds each chunk
-// sequentially in index order, and combines the chunk partials in ascending
-// chunk order on the calling thread. Same grain -> same combine tree ->
-// identical result for any worker count.
 #pragma once
 
 #include <algorithm>
@@ -90,32 +83,6 @@ void parallel_for(ThreadPool* pool, std::size_t n, const Body& body) {
     return;
   }
   parallel_for(*pool, n, body);
-}
-
-/// Ordered reduction: result = fold over chunks (ascending) of
-/// fold over i in the chunk (ascending) of map(i, worker), combined with
-/// `combine(acc, value)` starting from `identity`. The chunk decomposition
-/// depends only on `grain`, never on the pool size, so the result is
-/// bit-identical for any worker count.
-template <typename T, typename Map, typename Combine>
-[[nodiscard]] T parallel_reduce(ThreadPool& pool, std::size_t n,
-                                std::size_t grain, T identity, const Map& map,
-                                const Combine& combine) {
-  if (n == 0) return identity;
-  if (grain == 0) grain = 1;
-  const std::size_t num_chunks = (n + grain - 1) / grain;
-  std::vector<T> partials(num_chunks, identity);
-  parallel_for(pool, num_chunks, [&](std::size_t chunk, std::size_t worker) {
-    const std::size_t first = chunk * grain;
-    const std::size_t last = std::min(n, first + grain);
-    T acc = identity;
-    for (std::size_t i = first; i < last; ++i)
-      acc = combine(acc, map(i, worker));
-    partials[chunk] = acc;
-  });
-  T total = identity;
-  for (const T& p : partials) total = combine(total, p);
-  return total;
 }
 
 /// Per-worker scratch storage, one padded slot per worker index so two

@@ -2,8 +2,8 @@
 //
 // Kernels use unaligned loads, so alignment is a performance contract
 // rather than a correctness one; the scratch buffers on the hot path
-// (packed SOS frames, f32 channel copies, FFT twiddle tables) still want
-// cache-line alignment so vector loads never split a line.
+// (packed SOS frames, FFT twiddle tables) still want cache-line alignment
+// so vector loads never split a line.
 #pragma once
 
 #include <cstddef>

@@ -62,10 +62,6 @@ const char* isa_name(Isa isa) {
   return "unknown";
 }
 
-const char* lane_name(NumericLane lane) {
-  return lane == NumericLane::kF32 ? "f32" : "f64";
-}
-
 Isa parse_isa(const std::string& name) {
   if (name == "scalar") return Isa::kScalar;
   if (name == "sse2") return Isa::kSse2;

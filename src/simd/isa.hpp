@@ -12,10 +12,7 @@
 // wise) SIMD arithmetic in the exact association order of the scalar
 // reference, never reassociated horizontal reductions. Switching lanes can
 // therefore never change an image, a golden file, or a cached weight —
-// lanes differ in speed only. The f32 kernels carry the same cross-ISA
-// guarantee relative to the scalar f32 reference; f32-vs-f64 is a separate
-// *numeric lane* with a pinned error bound (see DESIGN.md, "SIMD &
-// numeric-lane model").
+// lanes differ in speed only (see DESIGN.md, "SIMD model").
 //
 // Thread safety: the ambient lane (ECHOIMAGE_SIMD, else the best lane) is
 // resolved once, in a function-local static, so concurrent first callers
@@ -38,19 +35,8 @@ enum class Isa {
   kNeon = 3,    ///< 128-bit AArch64
 };
 
-/// Numeric lanes for the imaging energy core. kF64 is the reference lane
-/// (bit-identical to the historical scalar pipeline); kF32 trades a pinned
-/// error bound (DESIGN.md) for twice the vector width.
-enum class NumericLane {
-  kF64 = 0,
-  kF32 = 1,
-};
-
 /// Short lowercase name ("scalar", "sse2", "avx2", "neon").
 [[nodiscard]] const char* isa_name(Isa isa);
-
-/// Lane name ("f64" / "f32").
-[[nodiscard]] const char* lane_name(NumericLane lane);
 
 /// Parse an ISA name (the ECHOIMAGE_SIMD spellings, plus "auto"). Throws
 /// std::invalid_argument on anything else. "auto" returns the best

@@ -4,9 +4,8 @@
 // for the active lane. Each kernel's semantics are defined by the scalar
 // reference implementation (kernels_scalar.cpp) — which reproduces the
 // historical per-site loops bit for bit — and every SIMD lane must match
-// the reference bitwise (f64 kernels) or bitwise-per-lane with a pinned
-// f32-vs-f64 bound (f32 kernels). tests/simd/kernel_diff_test.cpp enforces
-// this differentially on every supported lane.
+// the reference bitwise. tests/simd/kernel_diff_test.cpp enforces this
+// differentially on every supported lane.
 //
 // Layering: this header depends only on the standard library, so every
 // layer above (dsp, array, core) can call kernels without cycles. Raw
@@ -39,10 +38,6 @@ struct KernelTable {
   /// x[i+k+len/2] = u - v. `tw` holds len/2 interleaved twiddles.
   void (*fft_stage_f64)(double* x, const double* tw, std::size_t n,
                         std::size_t len);
-
-  /// a[i] *= b[i] (complex), the convolution spectrum product.
-  void (*complex_mul_f64)(std::complex<double>* a,
-                          const std::complex<double>* b, std::size_t n);
 
   /// a[i] *= conj(b[i]), the correlation / matched-filter spectrum product.
   void (*complex_conj_mul_f64)(std::complex<double>* a,
@@ -77,17 +72,6 @@ struct KernelTable {
   double (*incoherent_energy_f64)(const std::complex<double>* const* ch,
                                   std::size_t m, std::size_t first,
                                   std::size_t count);
-
-  /// f32 numeric lane of steered_energy: `ch[m]` points at an interleaved
-  /// (re, im) float array; weights arrive pre-split as wre/wim. Same
-  /// sequential-t accumulation contract, in float.
-  float (*steered_energy_f32)(const float* const* ch, std::size_t m,
-                              const float* wre, const float* wim,
-                              std::size_t first, std::size_t count);
-
-  /// f32 numeric lane of incoherent_energy (same layout as above).
-  float (*incoherent_energy_f32)(const float* const* ch, std::size_t m,
-                                 std::size_t first, std::size_t count);
 };
 
 /// Table for the active lane (see isa.hpp for the resolution order).

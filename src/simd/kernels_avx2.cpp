@@ -77,16 +77,6 @@ void fft_stage_f64(double* x, const double* tw, std::size_t n,
   }
 }
 
-void complex_mul_f64(Complex* a, const Complex* b, std::size_t n) {
-  auto* pa = reinterpret_cast<double*>(a);
-  const auto* pb = reinterpret_cast<const double*>(b);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    _mm256_storeu_pd(pa + 2 * i, cmul(_mm256_loadu_pd(pa + 2 * i),
-                                      _mm256_loadu_pd(pb + 2 * i)));
-  for (; i < n; ++i) a[i] *= b[i];
-}
-
 void complex_conj_mul_f64(Complex* a, const Complex* b, std::size_t n) {
   auto* pa = reinterpret_cast<double*>(a);
   const auto* pb = reinterpret_cast<const double*>(b);
@@ -208,84 +198,15 @@ double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
   return e;
 }
 
-/// Deinterleave eight consecutive f32 complexes (16 floats) preserving t
-/// order across the 128-bit lane boundary.
-inline void deinterleave8f(const float* p, __m256& re, __m256& im) {
-  const __m256 a = _mm256_loadu_ps(p);      // r0 i0 r1 i1 | r2 i2 r3 i3
-  const __m256 b = _mm256_loadu_ps(p + 8);  // r4 i4 r5 i5 | r6 i6 r7 i7
-  const __m256 t0 = _mm256_permute2f128_ps(a, b, 0x20);  // a.lo | b.lo
-  const __m256 t1 = _mm256_permute2f128_ps(a, b, 0x31);  // a.hi | b.hi
-  re = _mm256_shuffle_ps(t0, t1, _MM_SHUFFLE(2, 0, 2, 0));
-  im = _mm256_shuffle_ps(t0, t1, _MM_SHUFFLE(3, 1, 3, 1));
-}
-
-float steered_energy_f32(const float* const* ch, std::size_t m,
-                         const float* wre, const float* wim, std::size_t first,
-                         std::size_t count) {
-  float e = 0.0f;
-  std::size_t t = first;
-  const std::size_t last = first + count;
-  for (; t + 8 <= last; t += 8) {
-    __m256 yre = _mm256_setzero_ps();
-    __m256 yim = _mm256_setzero_ps();
-    for (std::size_t c = 0; c < m; ++c) {
-      const __m256 wr = _mm256_set1_ps(wre[c]);
-      const __m256 wi = _mm256_set1_ps(wim[c]);
-      __m256 xr, xi;
-      deinterleave8f(ch[c] + 2 * t, xr, xi);
-      yre = _mm256_add_ps(
-          yre, _mm256_add_ps(_mm256_mul_ps(wr, xr), _mm256_mul_ps(wi, xi)));
-      yim = _mm256_add_ps(
-          yim, _mm256_sub_ps(_mm256_mul_ps(wr, xi), _mm256_mul_ps(wi, xr)));
-    }
-    const __m256 nv =
-        _mm256_add_ps(_mm256_mul_ps(yre, yre), _mm256_mul_ps(yim, yim));
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, nv);
-    for (int l = 0; l < 8; ++l) e += lanes[l];
-  }
-  for (; t < last; ++t) {
-    float yre = 0.0f, yim = 0.0f;
-    for (std::size_t c = 0; c < m; ++c) {
-      const float xr = ch[c][2 * t];
-      const float xi = ch[c][2 * t + 1];
-      yre += wre[c] * xr + wim[c] * xi;
-      yim += wre[c] * xi - wim[c] * xr;
-    }
-    e += yre * yre + yim * yim;
-  }
-  return e;
-}
-
-float incoherent_energy_f32(const float* const* ch, std::size_t m,
-                            std::size_t first, std::size_t count) {
-  float e = 0.0f;
-  const std::size_t last = first + count;
-  for (std::size_t c = 0; c < m; ++c) {
-    std::size_t t = first;
-    for (; t + 8 <= last; t += 8) {
-      __m256 xr, xi;
-      deinterleave8f(ch[c] + 2 * t, xr, xi);
-      const __m256 nv =
-          _mm256_add_ps(_mm256_mul_ps(xr, xr), _mm256_mul_ps(xi, xi));
-      alignas(32) float lanes[8];
-      _mm256_store_ps(lanes, nv);
-      for (int l = 0; l < 8; ++l) e += lanes[l];
-    }
-    for (; t < last; ++t) {
-      const float xr = ch[c][2 * t];
-      const float xi = ch[c][2 * t + 1];
-      e += xr * xr + xi * xi;
-    }
-  }
-  return e;
-}
-
 const KernelTable kTable = {
-    Isa::kAvx2,          &fft_stage_f64,      &complex_mul_f64,
-    &complex_conj_mul_f64, &complex_scale_f64, &scale_f64,
-    &sos_section_f64,    &steered_energy_f64, &incoherent_energy_f64,
-    &steered_energy_f32, &incoherent_energy_f32,
+    .isa = Isa::kAvx2,
+    .fft_stage_f64 = &fft_stage_f64,
+    .complex_conj_mul_f64 = &complex_conj_mul_f64,
+    .complex_scale_f64 = &complex_scale_f64,
+    .scale_f64 = &scale_f64,
+    .sos_section_f64 = &sos_section_f64,
+    .steered_energy_f64 = &steered_energy_f64,
+    .incoherent_energy_f64 = &incoherent_energy_f64,
 };
 
 }  // namespace

@@ -55,23 +55,6 @@ void fft_stage_f64(double* x, const double* tw, std::size_t n,
   }
 }
 
-void complex_mul_f64(Complex* a, const Complex* b, std::size_t n) {
-  auto* pa = reinterpret_cast<double*>(a);
-  const auto* pb = reinterpret_cast<const double*>(b);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2x2_t ac = vld2q_f64(pa + 2 * i);
-    const float64x2x2_t bc = vld2q_f64(pb + 2 * i);
-    float64x2x2_t out;
-    out.val[0] = vsubq_f64(vmulq_f64(ac.val[0], bc.val[0]),
-                           vmulq_f64(ac.val[1], bc.val[1]));
-    out.val[1] = vaddq_f64(vmulq_f64(ac.val[0], bc.val[1]),
-                           vmulq_f64(ac.val[1], bc.val[0]));
-    vst2q_f64(pa + 2 * i, out);
-  }
-  for (; i < n; ++i) a[i] *= b[i];
-}
-
 void complex_conj_mul_f64(Complex* a, const Complex* b, std::size_t n) {
   auto* pa = reinterpret_cast<double*>(a);
   const auto* pb = reinterpret_cast<const double*>(b);
@@ -189,73 +172,15 @@ double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
   return e;
 }
 
-float steered_energy_f32(const float* const* ch, std::size_t m,
-                         const float* wre, const float* wim, std::size_t first,
-                         std::size_t count) {
-  float e = 0.0f;
-  std::size_t t = first;
-  const std::size_t last = first + count;
-  for (; t + 4 <= last; t += 4) {
-    float32x4_t yre = vdupq_n_f32(0.0f);
-    float32x4_t yim = vdupq_n_f32(0.0f);
-    for (std::size_t c = 0; c < m; ++c) {
-      const float32x4_t wr = vdupq_n_f32(wre[c]);
-      const float32x4_t wi = vdupq_n_f32(wim[c]);
-      const float32x4x2_t xc = vld2q_f32(ch[c] + 2 * t);
-      yre = vaddq_f32(yre, vaddq_f32(vmulq_f32(wr, xc.val[0]),
-                                     vmulq_f32(wi, xc.val[1])));
-      yim = vaddq_f32(yim, vsubq_f32(vmulq_f32(wr, xc.val[1]),
-                                     vmulq_f32(wi, xc.val[0])));
-    }
-    const float32x4_t nv =
-        vaddq_f32(vmulq_f32(yre, yre), vmulq_f32(yim, yim));
-    e += vgetq_lane_f32(nv, 0);
-    e += vgetq_lane_f32(nv, 1);
-    e += vgetq_lane_f32(nv, 2);
-    e += vgetq_lane_f32(nv, 3);
-  }
-  for (; t < last; ++t) {
-    float yre = 0.0f, yim = 0.0f;
-    for (std::size_t c = 0; c < m; ++c) {
-      const float xr = ch[c][2 * t];
-      const float xi = ch[c][2 * t + 1];
-      yre += wre[c] * xr + wim[c] * xi;
-      yim += wre[c] * xi - wim[c] * xr;
-    }
-    e += yre * yre + yim * yim;
-  }
-  return e;
-}
-
-float incoherent_energy_f32(const float* const* ch, std::size_t m,
-                            std::size_t first, std::size_t count) {
-  float e = 0.0f;
-  const std::size_t last = first + count;
-  for (std::size_t c = 0; c < m; ++c) {
-    std::size_t t = first;
-    for (; t + 4 <= last; t += 4) {
-      const float32x4x2_t xc = vld2q_f32(ch[c] + 2 * t);
-      const float32x4_t nv = vaddq_f32(vmulq_f32(xc.val[0], xc.val[0]),
-                                       vmulq_f32(xc.val[1], xc.val[1]));
-      e += vgetq_lane_f32(nv, 0);
-      e += vgetq_lane_f32(nv, 1);
-      e += vgetq_lane_f32(nv, 2);
-      e += vgetq_lane_f32(nv, 3);
-    }
-    for (; t < last; ++t) {
-      const float xr = ch[c][2 * t];
-      const float xi = ch[c][2 * t + 1];
-      e += xr * xr + xi * xi;
-    }
-  }
-  return e;
-}
-
 const KernelTable kTable = {
-    Isa::kNeon,          &fft_stage_f64,      &complex_mul_f64,
-    &complex_conj_mul_f64, &complex_scale_f64, &scale_f64,
-    &sos_section_f64,    &steered_energy_f64, &incoherent_energy_f64,
-    &steered_energy_f32, &incoherent_energy_f32,
+    .isa = Isa::kNeon,
+    .fft_stage_f64 = &fft_stage_f64,
+    .complex_conj_mul_f64 = &complex_conj_mul_f64,
+    .complex_scale_f64 = &complex_scale_f64,
+    .scale_f64 = &scale_f64,
+    .sos_section_f64 = &sos_section_f64,
+    .steered_energy_f64 = &steered_energy_f64,
+    .incoherent_energy_f64 = &incoherent_energy_f64,
 };
 
 }  // namespace

@@ -31,10 +31,6 @@ void fft_stage_f64(double* x, const double* tw, std::size_t n,
   }
 }
 
-void complex_mul_f64(Complex* a, const Complex* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) a[i] *= b[i];
-}
-
 void complex_conj_mul_f64(Complex* a, const Complex* b, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) a[i] *= std::conj(b[i]);
 }
@@ -82,42 +78,15 @@ double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
   return e;
 }
 
-float steered_energy_f32(const float* const* ch, std::size_t m,
-                         const float* wre, const float* wim, std::size_t first,
-                         std::size_t count) {
-  float e = 0.0f;
-  for (std::size_t t = first; t < first + count; ++t) {
-    float yre = 0.0f, yim = 0.0f;
-    for (std::size_t c = 0; c < m; ++c) {
-      const float xr = ch[c][2 * t];
-      const float xi = ch[c][2 * t + 1];
-      // conj(w) * x, in the association order of the f64 reference.
-      yre += wre[c] * xr + wim[c] * xi;
-      yim += wre[c] * xi - wim[c] * xr;
-    }
-    e += yre * yre + yim * yim;
-  }
-  return e;
-}
-
-float incoherent_energy_f32(const float* const* ch, std::size_t m,
-                            std::size_t first, std::size_t count) {
-  float e = 0.0f;
-  for (std::size_t c = 0; c < m; ++c) {
-    for (std::size_t t = first; t < first + count; ++t) {
-      const float xr = ch[c][2 * t];
-      const float xi = ch[c][2 * t + 1];
-      e += xr * xr + xi * xi;
-    }
-  }
-  return e;
-}
-
 const KernelTable kTable = {
-    Isa::kScalar,        &fft_stage_f64,      &complex_mul_f64,
-    &complex_conj_mul_f64, &complex_scale_f64, &scale_f64,
-    &sos_section_f64,    &steered_energy_f64, &incoherent_energy_f64,
-    &steered_energy_f32, &incoherent_energy_f32,
+    .isa = Isa::kScalar,
+    .fft_stage_f64 = &fft_stage_f64,
+    .complex_conj_mul_f64 = &complex_conj_mul_f64,
+    .complex_scale_f64 = &complex_scale_f64,
+    .scale_f64 = &scale_f64,
+    .sos_section_f64 = &sos_section_f64,
+    .steered_energy_f64 = &steered_energy_f64,
+    .incoherent_energy_f64 = &incoherent_energy_f64,
 };
 
 }  // namespace

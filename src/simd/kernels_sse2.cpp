@@ -61,14 +61,6 @@ void fft_stage_f64(double* x, const double* tw, std::size_t n,
   }
 }
 
-void complex_mul_f64(Complex* a, const Complex* b, std::size_t n) {
-  auto* pa = reinterpret_cast<double*>(a);
-  const auto* pb = reinterpret_cast<const double*>(b);
-  for (std::size_t i = 0; i < n; ++i)
-    _mm_storeu_pd(pa + 2 * i,
-                  cmul(_mm_loadu_pd(pa + 2 * i), _mm_loadu_pd(pb + 2 * i)));
-}
-
 void complex_conj_mul_f64(Complex* a, const Complex* b, std::size_t n) {
   auto* pa = reinterpret_cast<double*>(a);
   const auto* pb = reinterpret_cast<const double*>(b);
@@ -186,82 +178,15 @@ double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
   return e;
 }
 
-float steered_energy_f32(const float* const* ch, std::size_t m,
-                         const float* wre, const float* wim, std::size_t first,
-                         std::size_t count) {
-  float e = 0.0f;
-  std::size_t t = first;
-  const std::size_t last = first + count;
-  for (; t + 4 <= last; t += 4) {
-    __m128 yre = _mm_setzero_ps();
-    __m128 yim = _mm_setzero_ps();
-    for (std::size_t c = 0; c < m; ++c) {
-      const __m128 wr = _mm_set1_ps(wre[c]);
-      const __m128 wi = _mm_set1_ps(wim[c]);
-      const __m128 c0 = _mm_loadu_ps(ch[c] + 2 * t);      // r0 i0 r1 i1
-      const __m128 c1 = _mm_loadu_ps(ch[c] + 2 * t + 4);  // r2 i2 r3 i3
-      const __m128 xr = _mm_shuffle_ps(c0, c1, _MM_SHUFFLE(2, 0, 2, 0));
-      const __m128 xi = _mm_shuffle_ps(c0, c1, _MM_SHUFFLE(3, 1, 3, 1));
-      yre = _mm_add_ps(yre,
-                       _mm_add_ps(_mm_mul_ps(wr, xr), _mm_mul_ps(wi, xi)));
-      yim = _mm_add_ps(yim,
-                       _mm_sub_ps(_mm_mul_ps(wr, xi), _mm_mul_ps(wi, xr)));
-    }
-    const __m128 nv = _mm_add_ps(_mm_mul_ps(yre, yre), _mm_mul_ps(yim, yim));
-    alignas(16) float lanes[4];
-    _mm_store_ps(lanes, nv);
-    e += lanes[0];
-    e += lanes[1];
-    e += lanes[2];
-    e += lanes[3];
-  }
-  for (; t < last; ++t) {
-    float yre = 0.0f, yim = 0.0f;
-    for (std::size_t c = 0; c < m; ++c) {
-      const float xr = ch[c][2 * t];
-      const float xi = ch[c][2 * t + 1];
-      yre += wre[c] * xr + wim[c] * xi;
-      yim += wre[c] * xi - wim[c] * xr;
-    }
-    e += yre * yre + yim * yim;
-  }
-  return e;
-}
-
-float incoherent_energy_f32(const float* const* ch, std::size_t m,
-                            std::size_t first, std::size_t count) {
-  float e = 0.0f;
-  const std::size_t last = first + count;
-  for (std::size_t c = 0; c < m; ++c) {
-    std::size_t t = first;
-    for (; t + 4 <= last; t += 4) {
-      const __m128 c0 = _mm_loadu_ps(ch[c] + 2 * t);
-      const __m128 c1 = _mm_loadu_ps(ch[c] + 2 * t + 4);
-      const __m128 xr = _mm_shuffle_ps(c0, c1, _MM_SHUFFLE(2, 0, 2, 0));
-      const __m128 xi = _mm_shuffle_ps(c0, c1, _MM_SHUFFLE(3, 1, 3, 1));
-      const __m128 nv =
-          _mm_add_ps(_mm_mul_ps(xr, xr), _mm_mul_ps(xi, xi));
-      alignas(16) float lanes[4];
-      _mm_store_ps(lanes, nv);
-      e += lanes[0];
-      e += lanes[1];
-      e += lanes[2];
-      e += lanes[3];
-    }
-    for (; t < last; ++t) {
-      const float xr = ch[c][2 * t];
-      const float xi = ch[c][2 * t + 1];
-      e += xr * xr + xi * xi;
-    }
-  }
-  return e;
-}
-
 const KernelTable kTable = {
-    Isa::kSse2,          &fft_stage_f64,      &complex_mul_f64,
-    &complex_conj_mul_f64, &complex_scale_f64, &scale_f64,
-    &sos_section_f64,    &steered_energy_f64, &incoherent_energy_f64,
-    &steered_energy_f32, &incoherent_energy_f32,
+    .isa = Isa::kSse2,
+    .fft_stage_f64 = &fft_stage_f64,
+    .complex_conj_mul_f64 = &complex_conj_mul_f64,
+    .complex_scale_f64 = &complex_scale_f64,
+    .scale_f64 = &scale_f64,
+    .sos_section_f64 = &sos_section_f64,
+    .steered_energy_f64 = &steered_energy_f64,
+    .incoherent_energy_f64 = &incoherent_energy_f64,
 };
 
 }  // namespace

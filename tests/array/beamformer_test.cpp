@@ -45,11 +45,20 @@ MultiChannelSignal plane_wave_tone(const ArrayGeometry& g, const Direction& dir,
   return x;
 }
 
+// A beamformer over silent channels: enough to solve MVDR weights (paper
+// Eq. 8) against `noise_cov`, which the engine loads by 1e-3.
+NarrowbandBeamformer weight_solver(const ArrayGeometry& g, CMatrix noise_cov) {
+  return NarrowbandBeamformer(
+      std::vector<ComplexSignal>(g.num_mics(), ComplexSignal(8)), kFs, kF0, g,
+      std::move(noise_cov));
+}
+
 TEST(MvdrWeights, DistortionlessConstraint) {
   const ArrayGeometry g = make_respeaker_array();
   const Direction d{kPi / 2.0, 1.2};
   const auto a = steering_vector_hz(g, d, kF0);
-  const auto w = mvdr_weights(white_noise_covariance(6), a);
+  const auto w =
+      weight_solver(g, white_noise_covariance(6)).weights_mvdr(d);
   // w^H a = 1 is MVDR's defining constraint (Eq. 8 denominator).
   const Complex resp = echoimage::linalg::hdot(w, a);
   EXPECT_NEAR(std::abs(resp - Complex(1.0, 0.0)), 0.0, 1e-9);
@@ -57,9 +66,10 @@ TEST(MvdrWeights, DistortionlessConstraint) {
 
 TEST(MvdrWeights, WhiteNoiseReducesToDelayAndSum) {
   const ArrayGeometry g = make_respeaker_array();
-  const auto a = steering_vector_hz(g, Direction{0.3, 1.0}, kF0);
-  const auto w_mvdr = mvdr_weights(white_noise_covariance(6), a, 0.0);
-  const auto w_das = das_weights(a);
+  const NarrowbandBeamformer bf = weight_solver(g, white_noise_covariance(6));
+  const Direction d{0.3, 1.0};
+  const auto w_mvdr = bf.weights_mvdr(d);
+  const auto w_das = bf.weights_das(d);
   for (std::size_t m = 0; m < 6; ++m)
     EXPECT_NEAR(std::abs(w_mvdr[m] - w_das[m]), 0.0, 1e-9);
 }
@@ -73,7 +83,7 @@ TEST(MvdrWeights, NullsDirectionalInterference) {
   // Noise covariance dominated by the interferer + small white floor.
   CMatrix r = echoimage::linalg::outer(a_int, a_int);
   for (std::size_t i = 0; i < 6; ++i) r(i, i) += Complex(0.01, 0.0);
-  const auto w = mvdr_weights(r, a_look, 1e-6);
+  const auto w = weight_solver(g, r).weights_mvdr(look);
   const double gain_look =
       std::abs(echoimage::linalg::hdot(w, a_look));
   const double gain_int = std::abs(echoimage::linalg::hdot(w, a_int));
@@ -82,8 +92,8 @@ TEST(MvdrWeights, NullsDirectionalInterference) {
 }
 
 TEST(MvdrWeights, ShapeMismatchThrows) {
-  EXPECT_THROW((void)mvdr_weights(white_noise_covariance(4),
-                                  std::vector<Complex>(6)),
+  EXPECT_THROW((void)weight_solver(make_respeaker_array(),
+                                   white_noise_covariance(4)),
                std::invalid_argument);
 }
 
@@ -109,49 +119,12 @@ TEST(ApplyWeights, SumsWeightedChannels) {
   EXPECT_NEAR(std::abs(y[0] - Complex(1.0, 1.0)), 0.0, 1e-12);
 }
 
-TEST(FractionalDelay, ShiftsByExactSamples) {
-  Signal x(256, 0.0);
-  x[100] = 1.0;
-  const Signal y = fractional_delay(x, kFs, 10.0 / kFs);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < y.size(); ++i)
-    if (y[i] > y[best]) best = i;
-  EXPECT_EQ(best, 110u);
-}
-
-TEST(FractionalDelay, HalfSampleShiftOfSine) {
-  const std::size_t n = 512;
-  Signal x(n);
-  const double w = 2.0 * kPi * 2000.0 / kFs;
-  for (std::size_t i = 0; i < n; ++i)
-    x[i] = std::sin(w * static_cast<double>(i));
-  const Signal y = fractional_delay(x, kFs, 0.5 / kFs);
-  for (std::size_t i = 64; i < n - 64; ++i)
-    EXPECT_NEAR(y[i], std::sin(w * (static_cast<double>(i) - 0.5)), 5e-3);
-}
-
-TEST(BeamformDasBroadband, CoherentGainTowardSource) {
-  const ArrayGeometry g = make_respeaker_array();
-  const Direction src{kPi / 2.0, kPi / 2.0};
-  const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 2048, 0.5, 17);
-  const Signal toward = beamform_das_broadband(x, g, src, kFs);
-  const Direction away{3.0 * kPi / 2.0, kPi / 2.0};
-  const Signal off = beamform_das_broadband(x, g, away, kFs);
-  // Steering at the source aligns the tone (RMS ~ 0.707) while steering
-  // away misaligns it; noise is averaged down in both.
-  const double rms_toward = echoimage::dsp::rms(
-      std::span<const double>(toward.data() + 256, 1536));
-  const double rms_off =
-      echoimage::dsp::rms(std::span<const double>(off.data() + 256, 1536));
-  EXPECT_GT(rms_toward, rms_off);
-  EXPECT_NEAR(rms_toward, 1.0 / std::sqrt(2.0), 0.12);
-}
-
 TEST(NarrowbandBeamformer, SteerRecoversToneFromLookDirection) {
   const ArrayGeometry g = make_respeaker_array();
   const Direction src{kPi / 2.0, kPi / 2.0};
   const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 1024);
-  const NarrowbandBeamformer bf(x, kFs, kF0, g);
+  const NarrowbandBeamformer bf(x, kFs, kF0, g,
+                                white_noise_covariance(g.num_mics()));
   const ComplexSignal y = bf.steer(src);
   // Steered output magnitude ~ tone amplitude 1.0 in steady state.
   double acc = 0.0;
@@ -163,7 +136,8 @@ TEST(NarrowbandBeamformer, SteeredEnergyWindowed) {
   const ArrayGeometry g = make_respeaker_array();
   const Direction src{kPi / 2.0, kPi / 2.0};
   const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 1024);
-  const NarrowbandBeamformer bf(x, kFs, kF0, g);
+  const NarrowbandBeamformer bf(x, kFs, kF0, g,
+                                white_noise_covariance(g.num_mics()));
   const double e_full = bf.steered_energy(src, 256, 512, true);
   // |analytic tone|^2 = 1 per sample.
   EXPECT_NEAR(e_full, 512.0, 30.0);
@@ -177,7 +151,8 @@ TEST(NarrowbandBeamformer, IncoherentEnergyIsDirectionFree) {
   const ArrayGeometry g = make_respeaker_array();
   const MultiChannelSignal x =
       plane_wave_tone(g, Direction{1.0, 1.3}, kF0, 512);
-  const NarrowbandBeamformer bf(x, kFs, kF0, g);
+  const NarrowbandBeamformer bf(x, kFs, kF0, g,
+                                white_noise_covariance(g.num_mics()));
   const double e = bf.incoherent_energy(128, 256);
   EXPECT_NEAR(e, 256.0, 20.0);  // mean per-mic |analytic|^2 = 1
 }
@@ -186,12 +161,14 @@ TEST(NarrowbandBeamformer, RejectsBadInputs) {
   const ArrayGeometry g = make_respeaker_array();
   MultiChannelSignal wrong;
   wrong.channels.resize(3, Signal(64, 0.0));
-  EXPECT_THROW(NarrowbandBeamformer(wrong, kFs, kF0, g),
+  EXPECT_THROW(NarrowbandBeamformer(wrong, kFs, kF0, g,
+                                    white_noise_covariance(g.num_mics())),
                std::invalid_argument);
   MultiChannelSignal ragged;
   ragged.channels = {Signal(64), Signal(32), Signal(64),
                      Signal(64), Signal(64), Signal(64)};
-  EXPECT_THROW(NarrowbandBeamformer(ragged, kFs, kF0, g),
+  EXPECT_THROW(NarrowbandBeamformer(ragged, kFs, kF0, g,
+                                    white_noise_covariance(g.num_mics())),
                std::invalid_argument);
   EXPECT_THROW(
       NarrowbandBeamformer(std::vector<ComplexSignal>(6, ComplexSignal(8)),
@@ -223,8 +200,8 @@ TEST(NarrowbandBeamformer, PhysicallyRenderedEchoFavoursTrueDirection) {
     std::fill(c.begin(), c.begin() + 150, 0.0);
     echo.channels.push_back(std::move(c));
   }
-  const NarrowbandBeamformer bf(echo, kFs, kF0,
-                                echoimage::array::make_respeaker_array());
+  const NarrowbandBeamformer bf(echo, kFs, kF0, make_respeaker_array(),
+                                white_noise_covariance(6));
   const Direction toward = direction_to_point(target);
   const Direction mirror{toward.theta + kPi, toward.phi};
   const double e_toward = bf.steered_energy(toward, 0, echo.length(), false);
@@ -247,50 +224,32 @@ TEST(NoiseCovarianceOf, MatchesDirectEstimate) {
                std::invalid_argument);
 }
 
-TEST(SubbandMvdr, RecoversToneSteeredAtSource) {
-  const ArrayGeometry g = make_respeaker_array();
-  const Direction src{kPi / 2.0, kPi / 2.0};
-  const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 2048);
-  echoimage::dsp::StftParams p;
-  p.fft_size = 256;
-  p.hop = 64;
-  const Signal y = beamform_subband_mvdr(x, g, src, kFs, p);
-  // Steady-state RMS of a unit tone is 1/sqrt(2).
-  const double r =
-      echoimage::dsp::rms(std::span<const double>(y.data() + 512, 1024));
-  EXPECT_NEAR(r, 1.0 / std::sqrt(2.0), 0.08);
-}
-
-TEST(NarrowbandBeamformer, CopiesOutliveTheSourceOnBothNumericLanes) {
-  // Regression: the beamformer caches kernel-facing channel-pointer
-  // arrays; a member-wise copy left them aimed into the source object, so
-  // a copy whose source had died read freed memory. Copies (and copies of
+TEST(NarrowbandBeamformer, CopiesOutliveTheSource) {
+  // Regression: the beamformer caches a kernel-facing channel-pointer
+  // array; a member-wise copy left it aimed into the source object, so a
+  // copy whose source had died read freed memory. Copies (and copies of
   // copies) must answer energy queries bit-identically after the source
   // is gone.
   const ArrayGeometry g = make_respeaker_array();
   const MultiChannelSignal x =
       plane_wave_tone(g, Direction{1.0, 1.2}, kF0, 512, 0.05);
-  for (const simd::NumericLane lane :
-       {simd::NumericLane::kF64, simd::NumericLane::kF32}) {
-    std::vector<ComplexSignal> chans;
-    for (const Signal& c : x.channels)
-      chans.push_back(echoimage::dsp::analytic_signal(c));
-    auto source = std::make_unique<NarrowbandBeamformer>(
-        chans, kFs, kF0, g, white_noise_covariance(g.num_mics()),
-        kSpeedOfSoundMps, ChannelMask{}, lane);
-    const auto w = source->weights_mvdr(Direction{1.0, 1.2});
-    const double want_steered = source->steered_energy(w, 0, 512);
-    const double want_incoherent = source->incoherent_energy(0, 512);
-    NarrowbandBeamformer copy = *source;
-    NarrowbandBeamformer assigned = copy;
-    assigned = *source;
-    source.reset();  // free the original buffers
-    EXPECT_EQ(copy.steered_energy(w, 0, 512), want_steered);
-    EXPECT_EQ(copy.incoherent_energy(0, 512), want_incoherent);
-    EXPECT_EQ(assigned.steered_energy(w, 0, 512), want_steered);
-    const NarrowbandBeamformer moved = std::move(assigned);
-    EXPECT_EQ(moved.steered_energy(w, 0, 512), want_steered);
-  }
+  std::vector<ComplexSignal> chans;
+  for (const Signal& c : x.channels)
+    chans.push_back(echoimage::dsp::analytic_signal(c));
+  auto source = std::make_unique<NarrowbandBeamformer>(
+      chans, kFs, kF0, g, white_noise_covariance(g.num_mics()));
+  const auto w = source->weights_mvdr(Direction{1.0, 1.2});
+  const double want_steered = source->steered_energy(w, 0, 512);
+  const double want_incoherent = source->incoherent_energy(0, 512);
+  NarrowbandBeamformer copy = *source;
+  NarrowbandBeamformer assigned = copy;
+  assigned = *source;
+  source.reset();  // free the original buffers
+  EXPECT_EQ(copy.steered_energy(w, 0, 512), want_steered);
+  EXPECT_EQ(copy.incoherent_energy(0, 512), want_incoherent);
+  EXPECT_EQ(assigned.steered_energy(w, 0, 512), want_steered);
+  const NarrowbandBeamformer moved = std::move(assigned);
+  EXPECT_EQ(moved.steered_energy(w, 0, 512), want_steered);
 }
 
 TEST(Beampattern, PeaksAtLookDirection) {

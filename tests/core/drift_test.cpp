@@ -90,6 +90,35 @@ TEST(DriftMonitor, CleanCapturesStayUndetected) {
   }
 }
 
+TEST(DriftMonitor, NoiseGapLengthIsNotAmbientDrift) {
+  // The reference's noise gap is 2,048 samples. Live gaps of 4,096 (two
+  // back-to-back renders of the same room) and 3,000 (the same, cut short:
+  // not a power of two, so its spectrum is zero-padded) carry the same
+  // ambient noise, so the noise floor must not read them as louder.
+  const Fixture f;
+  core::DriftMonitor monitor = f.monitor();
+  const eval::CaptureBatch ref = f.background(0);
+  ASSERT_EQ(ref.noise_only.length(), 2048u);
+  monitor.set_reference(ref.beeps, ref.noise_only);
+  for (int rep = 1; rep <= 6; ++rep) {
+    const eval::CaptureBatch b = f.background(rep);
+    const eval::CaptureBatch more = f.background(rep + 100);
+    const std::size_t gap = rep % 2 == 0 ? 3000 : 4096;
+    dsp::MultiChannelSignal noise = b.noise_only;
+    for (std::size_t c = 0; c < noise.num_channels(); ++c) {
+      dsp::Signal& ch = noise.channels[c];
+      ch.insert(ch.end(), more.noise_only.channels[c].begin(),
+                more.noise_only.channels[c].end());
+      ch.resize(gap);
+    }
+    const core::DriftReport r =
+        monitor.observe(b.beeps, noise, /*occupied=*/false);
+    ASSERT_TRUE(r.noise_floor.evaluated);
+    ASSERT_EQ(r.noise_floor.verdict, core::DriftVerdict::kNone)
+        << "gap " << gap << ": " << r.describe();
+  }
+}
+
 TEST(DriftMonitor, GainDriftConfirmedAndAttributedToChannelGains) {
   const Fixture f;
   core::DriftMonitor monitor = f.monitor();

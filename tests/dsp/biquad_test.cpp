@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <random>
+#include <vector>
+
+#include "dsp/butterworth.hpp"
+#include "simd/isa.hpp"
 
 namespace echoimage::dsp {
 namespace {
@@ -148,6 +155,52 @@ TEST(SosCascade, IsStableChecksAllSections) {
   bad.a2 = 2.0;
   EXPECT_TRUE(SosCascade({good}).is_stable());
   EXPECT_FALSE(SosCascade({good, bad}).is_stable());
+}
+
+Signal random_signal(std::size_t n, unsigned seed) {
+  std::mt19937 gen(seed);
+  std::normal_distribution<double> d(0.0, 1.0);
+  Signal x(n);
+  for (double& v : x) v = d(gen);
+  return x;
+}
+
+TEST(SosCascade, FiltFiltMultiMatchesPerChannelFiltFiltOnEveryLane) {
+  // The lockstep contract: filtfilt_multi equals per-channel filtfilt bit
+  // for bit, on every ISA lane, for the imager's order-4 probing band-pass
+  // and an order-2 subband filter.
+  const std::vector<SosCascade> filters = {
+      butterworth_bandpass(4, 2000.0, 3000.0, 48000.0),
+      butterworth_bandpass(2, 2000.0, 2200.0, 48000.0)};
+  std::vector<Signal> six;
+  for (unsigned c = 0; c < 6; ++c) six.push_back(random_signal(2880, 10 + c));
+  const std::vector<std::vector<Signal>> inputs = {
+      six,                                               // lockstep
+      {random_signal(2880, 20)},                         // one channel
+      {random_signal(100, 21), random_signal(2880, 22),  // ragged
+       random_signal(37, 23)},
+      {Signal{}, Signal{}},  // equal-length, empty channels
+      {},                    // no channels
+  };
+  for (const simd::Isa isa : simd::supported_isas()) {
+    simd::ScopedIsa forced(isa);
+    for (const SosCascade& filter : filters) {
+      for (std::size_t in = 0; in < inputs.size(); ++in) {
+        const std::vector<Signal>& x = inputs[in];
+        const std::vector<Signal> y = filter.filtfilt_multi(x);
+        ASSERT_EQ(y.size(), x.size()) << "input " << in;
+        for (std::size_t c = 0; c < x.size(); ++c) {
+          const Signal want = filter.filtfilt(x[c]);
+          ASSERT_EQ(y[c].size(), want.size());
+          for (std::size_t t = 0; t < want.size(); ++t)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(y[c][t]),
+                      std::bit_cast<std::uint64_t>(want[t]))
+                << "lane " << simd::isa_name(isa) << " input " << in
+                << " channel " << c << " sample " << t;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -93,19 +93,6 @@ TEST(Butterworth, LowpassRollOffRateMatchesOrder) {
   }
 }
 
-TEST(Butterworth, HighpassMirrorsLowpass) {
-  const SosCascade f = butterworth_highpass(4, 1000.0, kFs);
-  EXPECT_TRUE(f.is_stable());
-  EXPECT_LT(f.magnitude_at(0.0, kFs), 1e-9);
-  EXPECT_NEAR(f.magnitude_at(1000.0, kFs), std::sqrt(0.5), 0.01);
-  EXPECT_NEAR(f.magnitude_at(20000.0, kFs), 1.0, 0.01);
-}
-
-TEST(Butterworth, HighpassRejectsInvalid) {
-  EXPECT_THROW(butterworth_highpass(2, -5.0, kFs), std::invalid_argument);
-  EXPECT_THROW(butterworth_highpass(0, 100.0, kFs), std::invalid_argument);
-}
-
 TEST(Butterworth, FilteredChirpRetainsInBandEnergy) {
   // The paper's front end: an in-band chirp must survive, an out-of-band
   // tone must not.

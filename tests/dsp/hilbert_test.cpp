@@ -108,23 +108,5 @@ TEST(MovingAverage, PreservesMeanOfLongSignal) {
   EXPECT_NEAR(mean(y), mean(x), 0.02);
 }
 
-TEST(SmoothedEnvelope, CombinesEnvelopeAndSmoothing) {
-  const std::size_t n = 512;
-  Signal x(n, 0.0);
-  // A short burst: envelope smoothing must widen and lower the peak.
-  const double w = 2.0 * std::numbers::pi * 64.0 / static_cast<double>(n);
-  for (std::size_t i = 250; i < 262; ++i)
-    x[i] = std::cos(w * static_cast<double>(i));
-  const Signal raw = envelope(x);
-  const Signal smooth = smoothed_envelope(x, 21);
-  double raw_peak = 0.0, smooth_peak = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    raw_peak = std::max(raw_peak, raw[i]);
-    smooth_peak = std::max(smooth_peak, smooth[i]);
-  }
-  EXPECT_LT(smooth_peak, raw_peak);
-  EXPECT_GT(smooth_peak, 0.2 * raw_peak);
-}
-
 }  // namespace
 }  // namespace echoimage::dsp

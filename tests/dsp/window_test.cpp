@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 namespace echoimage::dsp {
 namespace {
 
@@ -29,14 +27,6 @@ TEST_P(WindowTypeTest, SymmetricAboutCenter) {
   }
 }
 
-TEST_P(WindowTypeTest, MakeWindowSamplesEndpoints) {
-  const Signal w = make_window(GetParam(), 33);
-  ASSERT_EQ(w.size(), 33u);
-  EXPECT_NEAR(w[0], window_value(GetParam(), 0.0), 1e-12);
-  EXPECT_NEAR(w[32], window_value(GetParam(), 1.0), 1e-12);
-  EXPECT_NEAR(w[16], window_value(GetParam(), 0.5), 1e-12);
-}
-
 INSTANTIATE_TEST_SUITE_P(AllTypes, WindowTypeTest,
                          ::testing::Values(WindowType::kRectangular,
                                            WindowType::kHann,
@@ -45,8 +35,8 @@ INSTANTIATE_TEST_SUITE_P(AllTypes, WindowTypeTest,
                                            WindowType::kTukey));
 
 TEST(Window, RectangularIsAllOnes) {
-  const Signal w = make_window(WindowType::kRectangular, 8);
-  for (const double v : w) EXPECT_DOUBLE_EQ(v, 1.0);
+  for (double u = 0.0; u <= 1.0; u += 0.125)
+    EXPECT_DOUBLE_EQ(window_value(WindowType::kRectangular, u), 1.0);
 }
 
 TEST(Window, HannPeaksAtCenterAndVanishesAtEdges) {
@@ -73,27 +63,6 @@ TEST(Window, TukeyFullAlphaIsHann) {
 TEST(Window, TukeyFlatTopInMiddle) {
   EXPECT_DOUBLE_EQ(window_value(WindowType::kTukey, 0.5, 0.5), 1.0);
   EXPECT_DOUBLE_EQ(window_value(WindowType::kTukey, 0.3, 0.5), 1.0);
-}
-
-TEST(Window, MakeWindowHandlesDegenerateSizes) {
-  EXPECT_TRUE(make_window(WindowType::kHann, 0).empty());
-  const Signal w1 = make_window(WindowType::kHann, 1);
-  ASSERT_EQ(w1.size(), 1u);
-  EXPECT_NEAR(w1[0], 1.0, 1e-12);  // center value
-}
-
-TEST(Window, ApplyWindowMultipliesElementwise) {
-  Signal x{2.0, 2.0, 2.0};
-  const Signal w{0.0, 0.5, 1.0};
-  apply_window(x, w);
-  EXPECT_DOUBLE_EQ(x[0], 0.0);
-  EXPECT_DOUBLE_EQ(x[1], 1.0);
-  EXPECT_DOUBLE_EQ(x[2], 2.0);
-}
-
-TEST(Window, ApplyWindowThrowsOnMismatch) {
-  Signal x{1.0, 2.0};
-  EXPECT_THROW(apply_window(x, Signal{1.0}), std::invalid_argument);
 }
 
 }  // namespace

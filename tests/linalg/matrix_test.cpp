@@ -108,47 +108,6 @@ TEST(Outer, RankOneStructure) {
   EXPECT_EQ(m(1, 0), Complex(0.0, 2.0));
 }
 
-class HermitianSolveTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(HermitianSolveTest, SolvesRandomSystems) {
-  const std::size_t n = GetParam();
-  const CMatrix a = random_hpd(n, 100 + static_cast<unsigned>(n));
-  std::mt19937 gen(7);
-  std::normal_distribution<double> d(0.0, 1.0);
-  std::vector<Complex> x_true(n);
-  for (Complex& v : x_true) v = Complex(d(gen), d(gen));
-  const std::vector<Complex> b = multiply(a, x_true);
-  const std::vector<Complex> x = solve_hermitian(a, b);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(std::abs(x[i] - x_true[i]), 0.0, 1e-8);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, HermitianSolveTest,
-                         ::testing::Values<std::size_t>(1, 2, 3, 6, 10, 24));
-
-TEST(HermitianSolve, RejectsNonPositiveDefinite) {
-  CMatrix m = CMatrix::identity(2);
-  m(1, 1) = Complex(-1.0, 0.0);
-  EXPECT_THROW((void)solve_hermitian(m, std::vector<Complex>(2)),
-               std::runtime_error);
-}
-
-TEST(HermitianSolve, ShapeMismatchThrows) {
-  EXPECT_THROW((void)solve_hermitian(CMatrix::identity(3),
-                                     std::vector<Complex>(2)),
-               std::invalid_argument);
-}
-
-TEST(HermitianSolveLoaded, RecoversFromSingularInput) {
-  // Rank-deficient matrix: plain Cholesky fails, the loaded variant
-  // regularizes and returns a finite solution.
-  CMatrix m(2, 2);
-  m(0, 0) = m(0, 1) = m(1, 0) = m(1, 1) = Complex(1.0, 0.0);
-  const std::vector<Complex> b{{1.0, 0.0}, {1.0, 0.0}};
-  const auto x = solve_hermitian_loaded(m, b);
-  for (const Complex& v : x) EXPECT_TRUE(std::isfinite(std::abs(v)));
-}
-
 class InverseTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(InverseTest, InverseTimesOriginalIsIdentity) {

@@ -14,8 +14,8 @@
 namespace echoimage::runtime {
 namespace {
 
-// Cheap deterministic pseudo-random doubles (splitmix64-style) so reduction
-// tests sum values whose rounding actually depends on the fold order.
+// Cheap deterministic pseudo-random doubles (splitmix64-style) whose
+// products round differently for every index.
 double noise(std::size_t i) {
   std::uint64_t z = (static_cast<std::uint64_t>(i) + 1) * 0x9e3779b97f4a7c15ull;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -120,43 +120,6 @@ TEST(ParallelFor, FastWorkersTakeOverASlowWorkersShare) {
   // every other index.
   for (std::size_t i = 1; i < owner.size(); ++i)
     EXPECT_NE(owner[i], owner[0]) << "index " << i;
-}
-
-TEST(ParallelReduce, MatchesTheSerialOrderedFoldBitwise) {
-  const std::size_t n = 1000;
-  const std::size_t grain = 64;
-  // Reference: the exact fold parallel_reduce promises — chunk-local sums
-  // in index order, then chunk partials in ascending chunk order.
-  double reference = 0.0;
-  {
-    std::vector<double> partials((n + grain - 1) / grain, 0.0);
-    for (std::size_t c = 0; c < partials.size(); ++c)
-      for (std::size_t i = c * grain; i < std::min(n, (c + 1) * grain); ++i)
-        partials[c] += noise(i);
-    for (const double p : partials) reference += p;
-  }
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{3}, std::size_t{8}}) {
-    ThreadPool pool(threads);
-    const double got = parallel_reduce(
-        pool, n, grain, 0.0, [](std::size_t i, std::size_t) { return noise(i); },
-        [](double a, double b) { return a + b; });
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
-              std::bit_cast<std::uint64_t>(reference));
-  }
-}
-
-TEST(ParallelReduce, EmptyRangeAndZeroGrain) {
-  ThreadPool pool(2);
-  EXPECT_EQ(parallel_reduce(
-                pool, 0, 16, 42.0, [](std::size_t, std::size_t) { return 1.0; },
-                [](double a, double b) { return a + b; }),
-            42.0);
-  // grain 0 is treated as 1 rather than dividing by zero.
-  EXPECT_EQ(parallel_reduce(
-                pool, 5, 0, 0.0, [](std::size_t, std::size_t) { return 1.0; },
-                [](double a, double b) { return a + b; }),
-            5.0);
 }
 
 TEST(ScratchArena, SlotsAreIndependentPerWorker) {

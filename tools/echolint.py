@@ -76,6 +76,20 @@ R8  guard-mutable-fields-near-capabilities
     Annotate it, make it atomic, or suppress with a comment explaining
     the ownership discipline.
 
+R10 no-test-only-public-functions
+    A namespace-scope function declared in a src/ header whose only
+    callers are tests is dead weight: it must be tested, documented and
+    kept bit-exact, yet nothing the system runs reaches it. R10 flags
+    such a function when, outside comments and strings, its name occurs
+    at most twice in its header plus the same-stem .cpp (declaration
+    and definition) and nowhere in any other file under src/, bench/,
+    examples/, tools/ or perfbench/. perfbench/ is read for callers but
+    never linted. Delete the function, or suppress it with the reason it
+    stays.
+
+Suppressions are a shrink-only ratchet: a suppression line that matches
+no violation fails the run, so a fixed exception cannot linger.
+
 Usage
 -----
   echolint.py [--root DIR] [--compile-commands PATH]
@@ -101,6 +115,9 @@ import tempfile
 from typing import Iterable, NamedTuple
 
 SCAN_ROOTS = ("src", "tests", "bench", "examples", "tools")
+# Where R10 looks for callers: every scanned root except tests, plus the
+# benchmark driver, which is read but never linted.
+CALLER_ROOTS = ("src", "bench", "examples", "tools", "perfbench")
 LIBRARY_ROOT = "src"
 RUNTIME_PREFIX = os.path.join("src", "runtime")
 UNITS_PREFIX = os.path.join("src", "units")
@@ -132,6 +149,7 @@ RULE_TITLES = {
     "R7": "no-raw-sync-outside-sync-layer",
     "R8": "guard-mutable-fields-near-capabilities",
     "R9": "no-raw-intrinsics-outside-simd",
+    "R10": "no-test-only-public-functions",
 }
 
 FIX_HINTS = {
@@ -159,6 +177,8 @@ FIX_HINTS = {
     "R9": "call through simd::kernels() / simd::kernels_for(isa), or add "
           "the kernel to src/simd (one table entry per lane + a scalar "
           "reference + a tests/simd differential case)",
+    "R10": "delete the function (and its tests), or add a suppression "
+           "line naming it with the reason it stays",
 }
 
 R1_PATTERNS = [
@@ -353,6 +373,130 @@ def check_file(rel_path: str, text: str) -> list[Violation]:
     return out
 
 
+# R10: identifiers that can precede `(` in a namespace-scope statement
+# without naming the declared function.
+R10_NOT_NAMES = {
+    "alignas", "decltype", "noexcept", "static_assert", "requires",
+    "__attribute__",
+}
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def strip_preprocessor(code: str) -> str:
+    """Blank preprocessor lines (with backslash continuations), keeping
+    newlines so line numbers survive."""
+    out = []
+    continued = False
+    for line in code.split("\n"):
+        directive = continued or line.lstrip().startswith("#")
+        continued = directive and line.rstrip().endswith("\\")
+        out.append(" " * len(line) if directive else line)
+    return "\n".join(out)
+
+
+def namespace_scope_functions(code: str) -> list[tuple[str, int]]:
+    """(name, line) of every function declared or defined at namespace
+    scope in `code` (comments, strings and directives already blanked).
+    Braces that open a namespace keep the scan at namespace scope; any
+    other brace (class, enum, function body, initializer) is skipped."""
+    found: list[tuple[str, int]] = []
+    depth_other = 0  # nesting inside non-namespace braces
+    ns_stack: list[bool] = []
+    stmt_start = 0
+
+    def analyse(start: int, end: int) -> None:
+        stmt = code[start:end]
+        if stmt.lstrip().startswith("typedef"):
+            return
+        paren = 0
+        seen_type = False
+        for m in re.finditer(r"[A-Za-z_]\w*|[()=]", stmt):
+            tok = m.group(0)
+            if tok == "(":
+                paren += 1
+            elif tok == ")":
+                paren -= 1
+            elif paren > 0:
+                continue
+            elif tok == "=":
+                return  # an initializer or operator==, not a function
+            elif IDENTIFIER.fullmatch(tok):
+                rest = stmt[m.end():].lstrip()
+                prev = stmt[:m.start()].rstrip()
+                if rest.startswith("(") and tok not in R10_NOT_NAMES:
+                    if seen_type and not prev.endswith(("::", "operator",
+                                                        '""')):
+                        found.append((tok, line_of(code, start + m.start())))
+                    return
+                if tok not in ("template", "typename", "class"):
+                    seen_type = True
+
+    i, n = 0, len(code)
+    while i < n:
+        c = code[i]
+        if c == "{":
+            opener = code[stmt_start:i]
+            is_ns = depth_other == 0 and bool(
+                re.match(r"\s*(?:inline\s+)?namespace\b|\s*extern\s*\"",
+                         opener))
+            if depth_other == 0 and not is_ns:
+                analyse(stmt_start, i)
+            ns_stack.append(is_ns)
+            if not is_ns:
+                depth_other += 1
+            stmt_start = i + 1
+        elif c == "}":
+            if ns_stack and not ns_stack.pop():
+                depth_other -= 1
+            stmt_start = i + 1
+        elif c == ";" and depth_other == 0:
+            analyse(stmt_start, i)
+            stmt_start = i + 1
+        i += 1
+    return found
+
+
+def caller_files(root: str) -> list[str]:
+    files = []
+    for caller_root in CALLER_ROOTS:
+        for dirpath, _dirnames, filenames in os.walk(
+                os.path.join(root, caller_root)):
+            for name in filenames:
+                if name.endswith(CXX_EXTENSIONS):
+                    files.append(os.path.relpath(os.path.join(dirpath, name),
+                                                 root).replace(os.sep, "/"))
+    return sorted(files)
+
+
+def check_test_only_functions(root: str) -> list[Violation]:
+    """R10 over the tree at `root` (see the module docstring)."""
+    words: dict[str, dict[str, int]] = {}
+    codes: dict[str, str] = {}
+    for rel in caller_files(root):
+        with open(os.path.join(root, rel), encoding="utf-8",
+                  errors="replace") as fh:
+            code = strip_preprocessor(strip_comments_and_strings(fh.read()))
+        codes[rel] = code
+        counts: dict[str, int] = {}
+        for m in IDENTIFIER.finditer(code):
+            counts[m.group(0)] = counts.get(m.group(0), 0) + 1
+        words[rel] = counts
+    out: list[Violation] = []
+    for rel, code in codes.items():
+        if not (rel.startswith(LIBRARY_ROOT + "/") and
+                rel.endswith((".hpp", ".hh", ".h"))):
+            continue
+        own = {rel, os.path.splitext(rel)[0] + ".cpp"}
+        for name, line in namespace_scope_functions(code):
+            if sum(words.get(f, {}).get(name, 0) for f in own) > 2:
+                continue
+            if any(counts.get(name, 0) for f, counts in words.items()
+                   if f not in own):
+                continue
+            out.append(Violation("R10", rel, line, name))
+    return out
+
+
 def load_suppressions(path: str) -> list[Suppression]:
     sup: list[Suppression] = []
     if not os.path.isfile(path):
@@ -372,9 +516,21 @@ def load_suppressions(path: str) -> list[Suppression]:
     return sup
 
 
+def suppresses(s: Suppression, v: Violation) -> bool:
+    """The token, when present, must occur in the excerpt as a whole
+    word (so `tdoa` does not cover `tdoas`)."""
+    return s.rule == v.rule and s.path == v.path and (
+        not s.token or re.search(rf"(?<!\w){re.escape(s.token)}(?!\w)",
+                                 v.text) is not None)
+
+
 def is_suppressed(v: Violation, sups: list[Suppression]) -> bool:
-    return any(s.rule == v.rule and s.path == v.path and
-               (not s.token or s.token in v.text) for s in sups)
+    return any(suppresses(s, v) for s in sups)
+
+
+def stale_suppressions(violations: list[Violation],
+                       sups: list[Suppression]) -> list[Suppression]:
+    return [s for s in sups if not any(suppresses(s, v) for v in violations)]
 
 
 def discover_files(root: str, compile_commands: str | None) -> list[str]:
@@ -419,7 +575,7 @@ def discover_files(root: str, compile_commands: str | None) -> list[str]:
 def run_checks(root: str, compile_commands: str | None,
                suppressions_path: str, fix_hints: bool) -> int:
     sups = load_suppressions(suppressions_path)
-    violations: list[Violation] = []
+    found: list[Violation] = []
     for rel in discover_files(root, compile_commands):
         try:
             with open(os.path.join(root, rel), encoding="utf-8",
@@ -428,8 +584,13 @@ def run_checks(root: str, compile_commands: str | None,
         except OSError as err:
             print(f"echolint: cannot read {rel}: {err}", file=sys.stderr)
             return 2
-        violations.extend(v for v in check_file(rel, text)
-                          if not is_suppressed(v, sups))
+        found.extend(check_file(rel, text))
+    found.extend(check_test_only_functions(root))
+    violations = [v for v in found if not is_suppressed(v, sups)]
+    stale = stale_suppressions(found, sups)
+    for s in stale:
+        print(f"echolint: stale suppression `{s.rule} {s.path} {s.token}`"
+              f" matches no violation; delete it")
     for v in violations:
         print(f"{v.path}:{v.line}: [{v.rule} {RULE_TITLES[v.rule]}] "
               f"`{v.text}`")
@@ -438,6 +599,7 @@ def run_checks(root: str, compile_commands: str | None,
     if violations:
         print(f"echolint: {len(violations)} violation(s). Fix them or add a "
               f"justified line to {os.path.relpath(suppressions_path, root)}.")
+    if violations or stale:
         return 1
     print("echolint: clean")
     return 0
@@ -532,9 +694,41 @@ SELF_TEST_CLEAN = [
 ]
 
 
+# R10 works across files, so its cases are one small tree: a function whose
+# only callers are a test and a comment, and one called from bench/.
+R10_TREE = {
+    "src/core/lonely.hpp": "namespace e {\nint lonely_helper(int x);\n}\n",
+    "src/core/lonely.cpp": "namespace e {\nint lonely_helper(int x) "
+                           "{ return x; }\n}\n",
+    "src/core/other.cpp": "// lonely_helper(1) is no caller.\n",
+    "tests/core/lonely_test.cpp": "int t() { return e::lonely_helper(2); }\n",
+    "src/core/used.hpp": "namespace e {\n[[nodiscard]] int bench_helper(int x);"
+                         "\n}\n",
+    "src/core/used.cpp": "namespace e {\nint bench_helper(int x) "
+                         "{ return x; }\n}\n",
+    "bench/bench_used.cpp": "int main() { return e::bench_helper(1); }\n",
+}
+
+
 def self_test() -> int:
     failures = []
     with tempfile.TemporaryDirectory(prefix="echolint_selftest_") as tmp:
+        for rel, content in R10_TREE.items():
+            path = os.path.join(tmp, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        r10 = check_test_only_functions(tmp)
+        if [(v.path, v.text) for v in r10] != [("src/core/lonely.hpp",
+                                                "lonely_helper")]:
+            failures.append("R10: expected exactly lonely_helper, got "
+                            f"{[(v.path, v.text) for v in r10]}")
+        stale = stale_suppressions(r10, [
+            Suppression("R10", "src/core/lonely.hpp", "lonely_helper"),
+            Suppression("R10", "src/core/used.hpp", "bench_helper")])
+        if [s.token for s in stale] != ["bench_helper"]:
+            failures.append("stale suppression: expected only bench_helper, "
+                            f"got {[s.token for s in stale]}")
         for rel, content, rule in SELF_TEST_CASES:
             path = os.path.join(tmp, rel)
             os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -561,7 +755,8 @@ def self_test() -> int:
     if not failures:
         print(f"echolint self-test: {len(SELF_TEST_CASES)} seeded violations "
               f"fired, {len(SELF_TEST_CLEAN)} clean cases passed, "
-              "suppression honored")
+              "suppression honored, R10 and the stale-suppression check "
+              "verified")
     return 1 if failures else 0
 
 
