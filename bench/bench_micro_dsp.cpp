@@ -1,6 +1,8 @@
-// Micro-benchmarks of the vectorized DSP kernels the imager runs per beep,
-// swept across every ISA lane this machine supports (forced via
-// simd::ScopedIsa), with the scalar lane as the baseline. For each kernel x
+// Micro-benchmarks of the DSP kernels the imager runs per beep, swept
+// across every ISA lane this machine supports (forced via
+// simd::ScopedIsa), with the scalar lane as the baseline. The gate
+// covariance and the quadratic form are plain scalar code outside the
+// kernel table, so their rows read the same on every lane. For each kernel x
 // lane the harness reports ns/op and the speedup over scalar, and
 // cross-checks that the lane reproduced the scalar output bit for bit — a
 // benchmark that quietly measured different numbers would be worthless.
@@ -147,10 +149,13 @@ std::vector<Kernel> make_kernels() {
                        }});
   }
 
-  // Steering-multiply energy core: 6 channels x 2880 snapshots, the inner
-  // loop of every imaging pixel.
+  // The sweep's energy terms on 6 channels x 2880 snapshots: the gate
+  // covariance R_g of one 144-sample gate (a +/-1.5 ms range gate at
+  // 48 kHz; formed once per distinct gate, band and beep), the quadratic
+  // form w^H R_g w (once per pixel, band and beep), and the incoherent
+  // energy over the whole window.
   {
-    const std::size_t len = 2880, m = 6;
+    const std::size_t len = 2880, m = 6, gate = 144;
     std::vector<dsp::ComplexSignal> chans(m);
     std::mt19937 gen(4);
     std::normal_distribution<double> d(0.0, 1.0);
@@ -163,8 +168,15 @@ std::vector<Kernel> make_kernels() {
     array::NarrowbandBeamformer bf(chans, 48000.0, units::Hertz{2500.0}, geom,
                                    cov);
     const auto w = bf.weights_mvdr(array::Direction{1.0, 1.2});
-    kernels.push_back({"steered_energy_f64", m * len, [bf, w, len]() {
-                         const double e = bf.steered_energy(w, 0, len);
+    kernels.push_back({"gate_covariance", m * gate, [bf, gate]() {
+                         const auto r = bf.gate_covariance(1000, gate);
+                         return digest(
+                             reinterpret_cast<const double*>(r.data().data()),
+                             2 * r.data().size());
+                       }});
+    const auto r = bf.gate_covariance(1000, gate);
+    kernels.push_back({"gated_energy", m * m, [r, w]() {
+                         const double e = array::gated_energy(r, w);
                          return std::bit_cast<std::uint64_t>(e);
                        }});
     kernels.push_back({"incoherent_energy_f64", m * len, [bf, len]() {

@@ -218,25 +218,48 @@ ComplexSignal NarrowbandBeamformer::steer_das(const Direction& dir) const {
   return apply_weights(analytic_, weights_das(dir));
 }
 
-double NarrowbandBeamformer::steered_energy(const Direction& dir,
-                                            std::size_t first,
-                                            std::size_t count,
-                                            bool use_mvdr) const {
-  return steered_energy(use_mvdr ? weights_mvdr(dir) : weights_das(dir),
-                        first, count);
+CMatrix NarrowbandBeamformer::gate_covariance(std::size_t first,
+                                              std::size_t count) const {
+  const std::size_t m = analytic_.size();
+  CMatrix r(m, m);
+  const std::size_t last = std::min(length_, first + count);
+  if (first >= last) return r;
+  // x_i conj(x_j) spelled out in real arithmetic: the same roundings as
+  // the std::complex product, without its NaN-recovery branch.
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = i; j < m; ++j) {
+      const Complex* xi = ch_ptrs_[i];
+      const Complex* xj = ch_ptrs_[j];
+      double re = 0.0, im = 0.0;
+      for (std::size_t t = first; t < last; ++t) {
+        re += xi[t].real() * xj[t].real() + xi[t].imag() * xj[t].imag();
+        im += xi[t].imag() * xj[t].real() - xi[t].real() * xj[t].imag();
+      }
+      r(i, j) = Complex(re, im);
+      if (j != i) r(j, i) = Complex(re, -im);
+    }
+  }
+  return r;
 }
 
-double NarrowbandBeamformer::steered_energy(const std::vector<Complex>& w,
-                                            std::size_t first,
-                                            std::size_t count) const {
-  if (w.size() != analytic_.size())
-    throw std::invalid_argument(
-        "NarrowbandBeamformer: weight/channel mismatch");
-  const std::size_t last = std::min(length_, first + count);
-  if (first >= last) return 0.0;
-  const std::size_t n = last - first;
-  return simd::kernels().steered_energy_f64(ch_ptrs_.data(), analytic_.size(),
-                                            w.data(), first, n);
+double gated_energy(const CMatrix& gate_covariance,
+                    const std::vector<Complex>& w) {
+  const std::size_t m = w.size();
+  if (gate_covariance.rows() != m || gate_covariance.cols() != m)
+    throw std::invalid_argument("gated_energy: weight/covariance mismatch");
+  // Real arithmetic with the roundings of the std::complex products, as
+  // in `gate_covariance`.
+  const Complex* row = gate_covariance.data().data();
+  double q = 0.0;
+  for (std::size_t i = 0; i < m; ++i, row += m) {
+    double are = 0.0, aim = 0.0;
+    for (std::size_t j = 0; j < m; ++j) {
+      are += row[j].real() * w[j].real() - row[j].imag() * w[j].imag();
+      aim += row[j].real() * w[j].imag() + row[j].imag() * w[j].real();
+    }
+    q += w[i].real() * are + w[i].imag() * aim;
+  }
+  return q;
 }
 
 double NarrowbandBeamformer::incoherent_energy(std::size_t first,

@@ -100,16 +100,14 @@ class NarrowbandBeamformer {
   [[nodiscard]] echoimage::dsp::ComplexSignal steer_das(
       const Direction& dir) const;
 
-  /// Energy (sum |y|^2) of the steered output restricted to
-  /// [first, first+count) — the imaging inner loop, avoids materializing y.
-  [[nodiscard]] double steered_energy(const Direction& dir, std::size_t first,
-                                      std::size_t count, bool use_mvdr) const;
-
-  /// Same energy from precomputed weights (e.g. a WeightCache hit). The
-  /// weight vector must match the (masked) channel count.
-  [[nodiscard]] double steered_energy(const std::vector<Complex>& w,
-                                      std::size_t first,
-                                      std::size_t count) const;
+  /// Gate covariance R_g = sum_t x(t) x(t)^H over the samples of
+  /// [first, first+count) inside the capture (an empty range gives zeros),
+  /// over the active channels: R_g[i][j] = sum_t x_i(t) conj(x_j(t)) summed
+  /// in ascending t for j >= i, and R_g[j][i] = conj(R_g[i][j]). Every
+  /// pixel sharing the gate reads its steered energy from this one matrix
+  /// (see `gated_energy`).
+  [[nodiscard]] CMatrix gate_covariance(std::size_t first,
+                                        std::size_t count) const;
 
   /// Incoherent (phase-free) energy: mean over microphones of the per-
   /// channel energy in [first, first+count). Direction-independent — pure
@@ -132,6 +130,13 @@ class NarrowbandBeamformer {
   CMatrix noise_cov_;      ///< normalized, loaded
   CMatrix noise_cov_inv_;  ///< cached inverse for weight computation
 };
+
+/// Energy of the beamformed output over a gate, sum_t |w^H x(t)|^2, read
+/// from the gate's covariance as w^H R_g w = sum_i Re(conj(w_i) a_i) with
+/// a_i = sum_j R_g[i][j] w_j, i and j ascending. The weight vector must
+/// match the covariance's size.
+[[nodiscard]] double gated_energy(const CMatrix& gate_covariance,
+                                  const std::vector<Complex>& w);
 
 /// Normalized spatial covariance of a (band-passed) noise-only capture:
 /// analytic signal per channel, sample covariance over the full length.

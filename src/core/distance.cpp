@@ -29,15 +29,26 @@ DistanceEstimator::DistanceEstimator(DistanceEstimatorConfig config,
 
 MultiChannelSignal DistanceEstimator::bandpass(
     const MultiChannelSignal& capture) const {
+  // Lockstepped across channels, bit-identical to per-channel filtfilt.
   MultiChannelSignal out;
-  out.channels.reserve(capture.num_channels());
-  for (const Signal& ch : capture.channels)
-    out.channels.push_back(bandpass_filter_.filtfilt(ch));
+  out.channels = bandpass_filter_.filtfilt_multi(capture.channels);
   return out;
 }
 
+echoimage::array::CMatrix DistanceEstimator::noise_covariance(
+    const MultiChannelSignal& noise_only) const {
+  // The paper's rho_n from the separate noise-only capture when provided;
+  // spatially white otherwise. Full-size — the beamformer reduces it to
+  // the masked subarray.
+  const std::size_t mics = geometry_.num_mics();
+  return noise_only.num_channels() == mics && noise_only.length() > 0
+             ? echoimage::array::noise_covariance_of(bandpass(noise_only))
+             : echoimage::array::white_noise_covariance(mics);
+}
+
 Signal DistanceEstimator::beep_envelope(
-    const MultiChannelSignal& beep, const MultiChannelSignal& noise_only,
+    const MultiChannelSignal& beep,
+    const echoimage::array::CMatrix& noise_cov,
     const echoimage::array::ChannelMask& active_mask) const {
   const MultiChannelSignal filtered = bandpass(beep);
 
@@ -55,19 +66,9 @@ Signal DistanceEstimator::beep_envelope(
     }
     steered = echoimage::dsp::analytic_signal(filtered.channels[mic]);
   } else {
-    // Noise covariance from the separate noise-only capture when provided
-    // (the paper's rho_n); spatially white otherwise. Full-size — the
-    // beamformer reduces it to the masked subarray.
-    const bool have_noise =
-        noise_only.num_channels() == filtered.num_channels() &&
-        noise_only.length() > 0;
-    const echoimage::array::CMatrix cov =
-        have_noise
-            ? echoimage::array::noise_covariance_of(bandpass(noise_only))
-            : echoimage::array::white_noise_covariance(geometry_.num_mics());
     const NarrowbandBeamformer bf(filtered, config_.sample_rate,
                                   config_.chirp.center_frequency(),
-                                  geometry_, cov, config_.speed_of_sound,
+                                  geometry_, noise_cov, config_.speed_of_sound,
                                   active_mask);
     steered = config_.mode == SteeringMode::kMvdr
                   ? bf.steer(config_.steer)
@@ -117,10 +118,14 @@ DistanceEstimate DistanceEstimator::estimate_impl(
     throw std::invalid_argument("DistanceEstimator: no beeps");
 
   DistanceEstimate out;
+  // The noise covariance belongs to the capture, not the beep: built once.
+  const echoimage::array::CMatrix noise_cov =
+      config_.mode == SteeringMode::kSingleMic ? echoimage::array::CMatrix{}
+                                               : noise_covariance(noise_only);
   // E(t) = (1/L) sum_l |E_l(t)|^2 (Eq. 10).
   Signal e;
   for (const MultiChannelSignal& beep : beeps) {
-    const Signal el = beep_envelope(beep, noise_only, active_mask);
+    const Signal el = beep_envelope(beep, noise_cov, active_mask);
     if (e.empty()) e.assign(el.size(), 0.0);
     for (std::size_t i = 0; i < std::min(e.size(), el.size()); ++i)
       e[i] += el[i] * el[i];

@@ -107,18 +107,22 @@ class DistanceEstimator {
   [[nodiscard]] MultiChannelSignal bandpass(
       const MultiChannelSignal& capture) const;
 
-  /// Per-beep correlation envelope E_l(t) of the steered signal (exposed
-  /// for tests and the Fig. 5 bench).
-  [[nodiscard]] Signal beep_envelope(
-      const MultiChannelSignal& beep, const MultiChannelSignal& noise_only,
-      const echoimage::array::ChannelMask& active_mask = {}) const;
-
   /// Wire into the system observability bundle: estimate spans plus
   /// valid/invalid counters and a distance histogram (all deterministic for
   /// a seeded scenario). Null keeps every site a dead branch.
   void attach_observability(std::shared_ptr<const obs::Observability> obs);
 
  private:
+  /// Full-array noise covariance of the band-passed `noise_only`, or the
+  /// spatially-white one when it is empty or does not match the array.
+  [[nodiscard]] echoimage::array::CMatrix noise_covariance(
+      const MultiChannelSignal& noise_only) const;
+  /// Per-beep correlation envelope E_l(t) of the steered signal, against
+  /// the capture's noise covariance (ignored in single-mic mode).
+  [[nodiscard]] Signal beep_envelope(
+      const MultiChannelSignal& beep,
+      const echoimage::array::CMatrix& noise_cov,
+      const echoimage::array::ChannelMask& active_mask) const;
   [[nodiscard]] DistanceEstimate estimate_impl(
       const std::vector<MultiChannelSignal>& beeps,
       const MultiChannelSignal& noise_only,

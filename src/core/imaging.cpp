@@ -217,98 +217,147 @@ MultiChannelSignal AcousticImager::prepare(const MultiChannelSignal& beep,
   return filtered;
 }
 
-std::vector<Matrix2D> AcousticImager::band_energies(
-    const MultiChannelSignal& beep, const CaptureContext& context) const {
+std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
+    std::span<const MultiChannelSignal> beeps,
+    const CaptureContext& context) const {
   const obs::Tracer* const tracer = obs::Observability::tracer_of(obs_.get());
   EI_SPAN_NAMED(construct_span, tracer, "imaging.construct");
-  if (images_counter_ != nullptr) images_counter_->add();
-  if (!beep.is_rectangular())
-    throw std::invalid_argument("AcousticImager: ragged multichannel beep");
-  const MultiChannelSignal filtered = prepare(beep, context.tau_direct_s_);
+  const std::size_t num_beeps = beeps.size();
   const std::size_t num_bands = config_.num_subbands;
-  const std::size_t mics = filtered.num_channels();
+  const std::size_t mics = geometry_.num_mics();
   const std::size_t grid = config_.grid_size;
   const GateTable& gates = context.gates_;
+  const std::size_t num_gates = gates.gates.size();
   const echoimage::array::ChannelMask& mask = context.active_mask_;
-  if (bands_counter_ != nullptr) bands_counter_->add(num_bands);
-
-  std::vector<ComplexSignal> own_spectra;
-  const std::vector<ComplexSignal>* spectra = &context.spectra_;
-  const std::size_t fft = fft_length_for(filtered.length());
-  if (config_.pulse_compression && fft != context.fft_length_) {
-    own_spectra = template_spectra(fft);
-    spectra = &own_spectra;
+  const double mix = std::clamp(config_.incoherent_mix, 0.0, 1.0);
+  for (const MultiChannelSignal& beep : beeps) {
+    if (!beep.is_rectangular())
+      throw std::invalid_argument("AcousticImager: ragged multichannel beep");
+    if (beep.num_channels() != mics)
+      throw std::invalid_argument("AcousticImager: beep/mic channel mismatch");
   }
-  // The sweep reads only the samples inside some gate: keep [first, last)
-  // of each channel and shift every gate by `first`. Gates past the beep's
-  // end stay empty, as they are on the full channel.
-  const std::size_t last = std::min(filtered.length(), gates.window_last);
-  const std::size_t first = std::min(gates.window_first, last);
+  if (num_beeps == 0) return {};
+  if (images_counter_ != nullptr) images_counter_->add(num_beeps);
+  if (bands_counter_ != nullptr) bands_counter_->add(num_beeps * num_bands);
 
-  // All bands are in flight together through the three fan-outs below, so
-  // each band's span covers all of them and its work hangs off it through
-  // explicit parents, whichever worker runs it.
-  std::vector<std::optional<obs::ScopedSpan>> band_spans(num_bands);
-  for (std::size_t band = 0; band < num_bands; ++band)
-    band_spans[band].emplace(tracer, "imaging.band", band,
-                             construct_span.handle());
+  // Per beep, on the calling thread: band-pass and direct-path suppression,
+  // the template spectra at this beep's FFT length, and the gate window.
+  // Every (beep, band) slot below is beep-major: slot = beep * bands + band.
+  // The beep and band spans stay open through regions 1 and 2, whose tasks
+  // hang off them through explicit parents, whichever worker runs them.
+  struct BeepFront {
+    MultiChannelSignal filtered;
+    std::vector<ComplexSignal> own_spectra;
+    const std::vector<ComplexSignal>* spectra = nullptr;
+    std::size_t first = 0;  ///< gate window [first, last) of this beep
+    std::size_t last = 0;
+  };
+  std::vector<BeepFront> fronts(num_beeps);
+  std::vector<std::optional<obs::ScopedSpan>> beep_spans(num_beeps);
+  std::vector<std::optional<obs::ScopedSpan>> band_spans(num_beeps * num_bands);
+  for (std::size_t b = 0; b < num_beeps; ++b) {
+    beep_spans[b].emplace(tracer, "imaging.beep", b, construct_span.handle());
+    BeepFront& front = fronts[b];
+    front.filtered = prepare(beeps[b], context.tau_direct_s_);
+    front.spectra = &context.spectra_;
+    const std::size_t fft = fft_length_for(front.filtered.length());
+    if (config_.pulse_compression && fft != context.fft_length_) {
+      front.own_spectra = template_spectra(fft);
+      front.spectra = &front.own_spectra;
+    }
+    // The sweep reads only the samples inside some gate: keep [first,
+    // last) of each channel and shift every gate by `first`. Gates past
+    // the beep's end stay empty, as they are on the full channel.
+    front.last = std::min(front.filtered.length(), gates.window_last);
+    front.first = std::min(gates.window_first, front.last);
+    for (std::size_t band = 0; band < num_bands; ++band)
+      band_spans[b * num_bands + band].emplace(tracer, "imaging.band", band,
+                                               beep_spans[b]->handle());
+  }
 
-  // Per (band, channel): subband filter, analytic signal and pulse
-  // compression of one channel, trimmed to the gate window. Matched
-  // filtering commutes with the linear beamformer, so compressing per
-  // channel once is equivalent to compressing every steered output.
+  // Region 1, per (beep, band, channel): subband filter, analytic signal
+  // and pulse compression of one channel, trimmed to the gate window.
+  // Matched filtering commutes with the linear beamformer, so compressing
+  // per channel once is equivalent to compressing every steered output.
   // Channels the mask drops stay empty; the beamformer never reads them.
   std::vector<std::vector<ComplexSignal>> windows(
-      num_bands, std::vector<ComplexSignal>(mics));
+      num_beeps * num_bands, std::vector<ComplexSignal>(mics));
   echoimage::runtime::parallel_for(
-      pool_.get(), num_bands * mics, [&](std::size_t task, std::size_t) {
-        const std::size_t band = task / mics;
+      pool_.get(), num_beeps * num_bands * mics,
+      [&](std::size_t task, std::size_t) {
+        const std::size_t slot = task / mics;
         const std::size_t c = task % mics;
+        const std::size_t band = slot % num_bands;
         if (c < mask.size() && !mask[c]) return;
-        EI_SPAN(tracer, "imaging.channel", c, band_spans[band]->handle());
+        EI_SPAN(tracer, "imaging.channel", c, band_spans[slot]->handle());
+        const BeepFront& front = fronts[slot / num_bands];
+        const echoimage::dsp::Signal& x = front.filtered.channels[c];
         ComplexSignal a =
             num_bands > 1 ? echoimage::dsp::analytic_signal(
-                                subband_filters_[band].filtfilt(
-                                    filtered.channels[c]))
-                          : echoimage::dsp::analytic_signal(
-                                filtered.channels[c]);
+                                subband_filters_[band].filtfilt(x))
+                          : echoimage::dsp::analytic_signal(x);
         if (config_.pulse_compression)
-          a = echoimage::dsp::matched_filter_complex(a, (*spectra)[band]);
-        windows[band][c].assign(a.begin() + static_cast<std::ptrdiff_t>(first),
-                                a.begin() + static_cast<std::ptrdiff_t>(last));
+          a = echoimage::dsp::matched_filter_complex(a,
+                                                     (*front.spectra)[band]);
+        windows[slot][c].assign(
+            a.begin() + static_cast<std::ptrdiff_t>(front.first),
+            a.begin() + static_cast<std::ptrdiff_t>(front.last));
       });
+  for (BeepFront& front : fronts) front.filtered = MultiChannelSignal{};
 
-  // Per band: the beamformer over the windows, and the direction-free
-  // incoherent energy once per distinct gate.
-  const double mix = std::clamp(config_.incoherent_mix, 0.0, 1.0);
-  std::vector<std::optional<NarrowbandBeamformer>> beamformers(num_bands);
-  std::vector<std::vector<double>> incoherent(
-      num_bands, std::vector<double>(gates.gates.size(), 0.0));
+  // Region 2, per (beep, band): the beamformer over the windows, then per
+  // distinct gate the direction-free incoherent energy and the gate
+  // covariance R_g, which is all the sweep needs of the beep. Weights
+  // depend on the band but not on the beep, so the first beep's
+  // beamformer stays as its band's weight engine; every other beamformer,
+  // windows included, dies with its task.
+  struct GateTerms {
+    std::vector<double> incoherent;                     ///< per gate
+    std::vector<echoimage::array::CMatrix> covariance;  ///< per gate
+  };
+  std::vector<GateTerms> terms(num_beeps * num_bands);
+  std::vector<std::optional<NarrowbandBeamformer>> engines(num_bands);
   echoimage::runtime::parallel_for(
-      pool_.get(), num_bands, [&](std::size_t band, std::size_t) {
+      pool_.get(), num_beeps * num_bands, [&](std::size_t slot, std::size_t) {
+        const std::size_t band = slot % num_bands;
         EI_SPAN(tracer, "imaging.beamformer", band,
-                band_spans[band]->handle());
-        const NarrowbandBeamformer& bf = beamformers[band].emplace(
-            std::move(windows[band]), config_.sample_rate,
+                band_spans[slot]->handle());
+        NarrowbandBeamformer bf(
+            std::move(windows[slot]), config_.sample_rate,
             units::Hertz{subband_centers_[band]}, geometry_,
             context.covariances_[band], config_.speed_of_sound, mask);
-        if (mix > 0.0)
-          for (std::size_t g = 0; g < gates.gates.size(); ++g)
-            incoherent[band][g] = bf.incoherent_energy(
-                gates.gates[g].first - first, gates.gates[g].second);
+        const std::size_t first = fronts[slot / num_bands].first;
+        GateTerms& t = terms[slot];
+        if (mix > 0.0) {
+          t.incoherent.resize(num_gates);
+          for (std::size_t g = 0; g < num_gates; ++g)
+            t.incoherent[g] = bf.incoherent_energy(gates.gates[g].first - first,
+                                                   gates.gates[g].second);
+        }
+        if (mix < 1.0) {
+          t.covariance.reserve(num_gates);
+          for (std::size_t g = 0; g < num_gates; ++g)
+            t.covariance.push_back(bf.gate_covariance(
+                gates.gates[g].first - first, gates.gates[g].second));
+        }
+        if (slot < num_bands) engines[band].emplace(std::move(bf));
       });
+  windows.clear();
+  band_spans.clear();
+  beep_spans.clear();
 
-  // One sweep over every (band, grid row): each task writes its own row of
-  // its own band, so the images are bit-identical for any worker count.
-  // One task per row is a fixed grain, so the recorded
+  // Region 3, per grid row across every band and beep: each pixel's
+  // direction once, its weights once per band, then per beep its coherent
+  // energy w^H R_g w. Each task writes its own row of every image, so the
+  // images are bit-identical for any worker count, and a beep's pixels
+  // read only that beep's terms, so they do not depend on the other beeps
+  // of the pass. One task per row is a fixed grain, so the recorded
   // `imaging.grid_chunk[row]` spans are identical for every worker count
   // too (the determinism contract in obs/trace.hpp).
-  std::vector<Matrix2D> energies(num_bands, Matrix2D(grid, grid));
+  std::vector<std::vector<Matrix2D>> energies(
+      num_beeps, std::vector<Matrix2D>(num_bands, Matrix2D(grid, grid)));
   {
-    std::vector<std::optional<obs::ScopedSpan>> sweep_spans(num_bands);
-    for (std::size_t band = 0; band < num_bands; ++band)
-      sweep_spans[band].emplace(tracer, "imaging.grid_sweep", band,
-                                band_spans[band]->handle());
+    EI_SPAN_NAMED(sweep_span, tracer, "imaging.grid_sweep");
     struct PixelScratch {
       std::vector<echoimage::dsp::Complex> steering;
       std::vector<echoimage::dsp::Complex> weights;
@@ -316,51 +365,65 @@ std::vector<Matrix2D> AcousticImager::band_energies(
     echoimage::runtime::ScratchArena<PixelScratch> arena(
         pool_ != nullptr ? pool_->num_workers() : 1);
     echoimage::runtime::parallel_for(
-        pool_.get(), num_bands * grid,
-        [&](std::size_t task, std::size_t worker) {
-          const std::size_t band = task / grid;
-          const std::size_t row = task % grid;
-          EI_SPAN(tracer, "imaging.grid_chunk", row,
-                  sweep_spans[band]->handle());
-          const NarrowbandBeamformer& bf = *beamformers[band];
+        pool_.get(), grid, [&](std::size_t row, std::size_t worker) {
+          EI_SPAN(tracer, "imaging.grid_chunk", row, sweep_span.handle());
           PixelScratch& s = arena.local(worker);
-          std::vector<double>& pixels = energies[band].data();
           for (std::size_t col = 0; col < grid; ++col) {
             const std::size_t k = row * grid + col;
             const std::uint32_t g = gates.pixel_gate[k];
-            double e = 0.0;
-            if (mix < 1.0) {
-              const Direction dir = echoimage::array::direction_to_point(
+            Direction dir;
+            if (mix < 1.0)
+              dir = echoimage::array::direction_to_point(
                   grid_center(config_, row, col, context.plane_distance_m_));
-              bf.compute_weights(dir, config_.use_mvdr, s.steering, s.weights);
-              e += (1.0 - mix) *
-                   bf.steered_energy(s.weights, gates.gates[g].first - first,
-                                     gates.gates[g].second);
+            for (std::size_t band = 0; band < num_bands; ++band) {
+              if (mix < 1.0)
+                engines[band]->compute_weights(dir, config_.use_mvdr,
+                                               s.steering, s.weights);
+              for (std::size_t b = 0; b < num_beeps; ++b) {
+                const GateTerms& t = terms[b * num_bands + band];
+                double e = 0.0;
+                if (mix < 1.0)
+                  e += (1.0 - mix) * echoimage::array::gated_energy(
+                                         t.covariance[g], s.weights);
+                if (mix > 0.0) e += mix * t.incoherent[g];
+                energies[b][band].data()[k] += e;
+              }
             }
-            if (mix > 0.0) e += mix * incoherent[band][g];
-            pixels[k] += e;
           }
         });
   }
   return energies;
 }
 
+std::vector<AcousticImage> AcousticImager::construct_capture(
+    std::span<const MultiChannelSignal> beeps,
+    const CaptureContext& context) const {
+  std::vector<std::vector<Matrix2D>> energies = band_energies(beeps, context);
+  std::vector<AcousticImage> images(energies.size());
+  for (std::size_t b = 0; b < energies.size(); ++b) {
+    images[b].bands = std::move(energies[b]);
+    // L2 norm of the gated segment: sqrt of the energy.
+    for (Matrix2D& band : images[b].bands)
+      for (double& v : band.data()) v = std::sqrt(v);
+  }
+  return images;
+}
+
 std::vector<Matrix2D> AcousticImager::construct_bands(
     const MultiChannelSignal& beep, const CaptureContext& context) const {
-  std::vector<Matrix2D> bands = band_energies(beep, context);
-  // L2 norm of the gated segment: sqrt of the energy.
-  for (Matrix2D& band : bands)
-    for (double& v : band.data()) v = std::sqrt(v);
-  return bands;
+  return std::move(construct_capture({&beep, 1}, context).front().bands);
 }
 
 Matrix2D AcousticImager::construct(
     const MultiChannelSignal& beep, units::Meters plane_distance,
     double tau_direct_s, const MultiChannelSignal& noise_only,
     double tau_echo_s, const echoimage::array::ChannelMask& active_mask) const {
-  const std::vector<Matrix2D> bands = band_energies(
-      beep, capture_context(plane_distance, beep.length(), tau_direct_s,
-                            noise_only, tau_echo_s, active_mask));
+  const std::vector<Matrix2D> bands =
+      band_energies({&beep, 1},
+                    capture_context(plane_distance, beep.length(),
+                                    tau_direct_s, noise_only, tau_echo_s,
+                                    active_mask))
+          .front();
   // Frequency compounding: band energies summed in band order from 0.0,
   // then the L2 norm of the compounded energy.
   Matrix2D image(config_.grid_size, config_.grid_size);

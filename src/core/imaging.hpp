@@ -7,11 +7,21 @@
 // segment time-gated around the grid's round-trip delay 2 D_k / c, which
 // isolates echoes whose path length matches the grid — echoes from clutter
 // elsewhere fail the gate and are suppressed.
+//
+// That gated energy sum_{t in g} |w^H x_t|^2 equals w^H R_g w, where the
+// gate covariance R_g = sum_{t in g} x_t x_t^H is one M x M matrix shared
+// by every pixel whose gate is g. The imager therefore images all beeps of
+// a capture in one pass: R_g once per (beep, band, distinct gate), each
+// pixel's direction once per capture and its weights once per band, then
+// w^H R_g w per beep. A beep's image depends only on that beep and the
+// capture context, so the one-beep calls reproduce every beep of a pass
+// bit for bit.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -78,9 +88,9 @@ struct ImagingConfig {
   /// 1 = single full-band image.
   std::size_t num_subbands = 5;
   units::MetersPerSecond speed_of_sound = echoimage::array::kSpeedOfSoundMps;
-  /// Workers of the imager's pool, which runs each beep's per-(band,
-  /// channel) front end, per-band beamformer builds and grid sweep, and the
-  /// pipeline's per-band CNN. 1 = the historical serial path (no pool, no
+  /// Workers of the imager's pool, which runs each capture's per-(beep,
+  /// band, channel) front end, per-(beep, band) gate terms and grid sweep,
+  /// and the pipeline's per-band CNN. 1 = the historical serial path (no pool, no
   /// synchronization); 0 = one per hardware thread. Any value produces
   /// bit-identical images: every task writes its own slots and bands
   /// accumulate in a fixed order (see DESIGN.md, "Threading model").
@@ -123,9 +133,9 @@ class AcousticImager {
   }
 
   /// Wire this imager into the system observability bundle: capture,
-  /// per-band, per-(band, channel) and per-grid-row spans and image/band
-  /// counters. Null (the default) keeps every site a dead branch. Call
-  /// before first use.
+  /// per-beep, per-(beep, band), per-(beep, band, channel) and per-grid-row
+  /// spans and image/band counters (counted per beep). Null (the default)
+  /// keeps every site a dead branch. Call before first use.
   void attach_observability(std::shared_ptr<const obs::Observability> obs);
 
   /// What every beep of one capture shares, built once on the calling
@@ -135,17 +145,28 @@ class AcousticImager {
   /// gate table of the plane at `plane_distance` for the given time
   /// anchors. `tau_direct_s`, `noise_only`, `tau_echo_s` and `active_mask`
   /// mean what they mean for `construct`. The context is immutable, so any
-  /// number of `construct_bands(beep, context)` calls may share it.
+  /// number of `construct_capture` and `construct_bands(beep, context)`
+  /// calls may share it.
   [[nodiscard]] CaptureContext capture_context(
       units::Meters plane_distance, std::size_t beep_length,
       double tau_direct_s = 0.0, const MultiChannelSignal& noise_only = {},
       double tau_echo_s = -1.0,
       const echoimage::array::ChannelMask& active_mask = {}) const;
 
-  /// Per-subband images of one beep of the context's capture: bit-identical
-  /// to `construct_bands(beep, plane_distance, ...)` with the arguments the
+  /// Per-subband images of every beep of the context's capture, in one
+  /// imaging pass over the pool (one image per beep, in beep order). Each
+  /// beep's image depends only on that beep and the context: it is
+  /// bit-identical to `construct_bands(beep, context)` and to
+  /// `construct_bands(beep, plane_distance, ...)` with the arguments the
   /// context was built from. A beep whose length differs from the
-  /// context's `beep_length` recomputes its template spectra.
+  /// context's `beep_length` recomputes its template spectra. No beeps,
+  /// no images.
+  [[nodiscard]] std::vector<AcousticImage> construct_capture(
+      std::span<const MultiChannelSignal> beeps,
+      const CaptureContext& context) const;
+
+  /// Per-subband images of one beep of the context's capture: a one-beep
+  /// `construct_capture`.
   [[nodiscard]] std::vector<Matrix2D> construct_bands(
       const MultiChannelSignal& beep, const CaptureContext& context) const;
 
@@ -156,7 +177,8 @@ class AcousticImager {
   /// `tau_echo_s` (< 0 = unknown) enables echo anchoring when
   /// `anchor_to_echo` is set. `active_mask` (empty = all) images with the
   /// surviving subarray when the health gate has condemned channels.
-  /// Builds a one-beep capture context per call.
+  /// Builds a one-beep capture context per call and sums the band energies
+  /// (frequency compounding).
   [[nodiscard]] Matrix2D construct(
       const MultiChannelSignal& beep, units::Meters plane_distance,
       double tau_direct_s = 0.0, const MultiChannelSignal& noise_only = {},
@@ -166,7 +188,8 @@ class AcousticImager {
   /// Per-subband images: same computation as `construct` but each spectral
   /// band is returned separately so the classifier sees the body's
   /// frequency-dependent reflectivity. Builds a one-beep capture context
-  /// per call; the pipeline builds one per capture instead.
+  /// per call; the pipeline builds one per capture and images all its
+  /// beeps in one `construct_capture` pass instead.
   [[nodiscard]] std::vector<Matrix2D> construct_bands(
       const MultiChannelSignal& beep, units::Meters plane_distance,
       double tau_direct_s = 0.0,
@@ -177,9 +200,11 @@ class AcousticImager {
  private:
   /// Every pixel's range gate for one plane and time anchor.
   struct GateTable;
-  /// Per-band gated energy images (before the square root) of one beep.
-  [[nodiscard]] std::vector<Matrix2D> band_energies(
-      const MultiChannelSignal& beep, const CaptureContext& context) const;
+  /// Per-beep, per-band gated energy images (before the square root): the
+  /// imaging pass behind `construct_capture`.
+  [[nodiscard]] std::vector<std::vector<Matrix2D>> band_energies(
+      std::span<const MultiChannelSignal> beeps,
+      const CaptureContext& context) const;
   /// Matched-filter FFT length of a `beep_length`-sample beep (0 when the
   /// beep or the template is empty).
   [[nodiscard]] std::size_t fft_length_for(std::size_t beep_length) const;
@@ -206,8 +231,9 @@ class AcousticImager {
 
 // A pixel's range gate depends only on its distance to the array, so a
 // plane has a few hundred distinct gates against G^2 pixels (32,400 at
-// paper scale): direction-free work runs once per distinct gate, on
-// exactly the (first, count) window the pixel would have passed.
+// paper scale): the incoherent energy and the gate covariance R_g run once
+// per distinct gate, on exactly the (first, count) window the pixel would
+// have passed.
 struct AcousticImager::GateTable {
   GateTable(const ImagingConfig& config, double plane_distance_m,
             double tau_direct_s, double tau_echo_s);

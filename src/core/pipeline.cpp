@@ -245,34 +245,33 @@ ProcessedBeeps EchoImagePipeline::process(
     if (distance_invalid_counter_ != nullptr) distance_invalid_counter_->add();
     return out;
   }
-  out.images.reserve(beeps.size());
   // The plane sits at the centroid-derived distance (smoother than the
   // peak) and the gates anchor to the measured echo centroid.
   const units::Meters plane{out.distance.user_distance_centroid_m > 0.0
                                 ? out.distance.user_distance_centroid_m
                                 : out.distance.user_distance_m};
-  // Deadline poll sits at the per-beep boundary: each image is the
-  // expensive unit of work, and stopping between images leaves a clean
-  // prefix (never a half-built image). The first poll precedes the capture
-  // context, so an expired deadline builds nothing.
+  // The deadline is polled at the imaging pass's boundaries: the pass is
+  // the expensive unit of work and takes no probe. The first poll precedes
+  // the capture context, so an expired deadline builds nothing; the second
+  // follows the pass, and a deadline that expired during it discards every
+  // image (the result is never a partial set of beeps).
   if (deadline && deadline()) {
     out.deadline_expired = true;
     return out;
   }
   // The noise path, template spectra and gate table are the same for every
-  // beep of the capture: built once here, then shared by each image.
+  // beep of the capture: built once here, then shared by the one pass that
+  // images every beep.
   const AcousticImager::CaptureContext context = imager_.capture_context(
       plane, use_beeps->front().length(), out.distance.tau_direct_s,
       *use_noise, out.distance.tau_echo_centroid_s, mask_ref);
-  for (std::size_t b = 0; b < use_beeps->size(); ++b) {
-    if (b > 0 && deadline && deadline()) {
-      out.deadline_expired = true;
-      return out;
-    }
-    EI_SPAN(tracer, "pipeline.image", b);
-    out.images.push_back(
-        AcousticImage{imager_.construct_bands((*use_beeps)[b], context)});
+  std::vector<AcousticImage> images =
+      imager_.construct_capture(*use_beeps, context);
+  if (deadline && deadline()) {
+    out.deadline_expired = true;
+    return out;
   }
+  out.images = std::move(images);
   return out;
 }
 

@@ -27,10 +27,11 @@ struct SystemConfig {
   /// the room temperature has moved the real value (see core/drift.hpp).
   units::MetersPerSecond speed_of_sound = echoimage::array::kSpeedOfSoundMps;
   /// Worker threads for the parallel stages: the imager's pool runs each
-  /// beep's front end (per band and channel), beamformer builds and grid
-  /// sweep, the per-band CNN and the augmentation fan-out; the experiment
-  /// runner fans sessions out on a pool of its own. 1 = the historical
-  /// serial behavior, bit for bit; 0 = one worker per hardware thread.
+  /// capture's imaging pass (front end per beep, band and channel, gate
+  /// terms per beep and band, the grid sweep), the per-band CNN and the
+  /// augmentation fan-out; the experiment runner fans sessions out on a
+  /// pool of its own. 1 = the historical serial behavior, bit for bit;
+  /// 0 = one worker per hardware thread.
   /// Results are deterministic for every value (see DESIGN.md, "Threading
   /// model").
   std::size_t num_threads = 1;
@@ -71,13 +72,13 @@ struct SystemConfig {
 };
 
 /// Latency-budget probe threaded through the pipeline by the serving
-/// layer: returns true once the caller's deadline has passed. The
-/// pipeline polls it at stage boundaries (between per-beep images — the
-/// expensive unit of work) and stops early rather than burn compute on a
-/// result nobody will accept. An empty probe means "no deadline". The
-/// probe must be cheap and must be monotonic (once expired, stays
-/// expired); a VirtualClock-backed probe keeps the early-out bit-stable
-/// in the deterministic serve mode.
+/// layer: returns true once the caller's deadline has passed. `process`
+/// polls it at the boundaries of its one imaging pass — before the capture
+/// context and after the pass, never inside it — and stops rather than
+/// hand back a result nobody will accept. An empty probe means "no
+/// deadline". The probe must be cheap and must be monotonic (once expired,
+/// stays expired); a VirtualClock-backed probe keeps the early-out
+/// bit-stable in the deterministic serve mode.
 using DeadlineProbe = std::function<bool()>;
 
 /// Images + metadata produced from one batch of beeps.
@@ -91,10 +92,10 @@ struct ProcessedBeeps {
   /// gate is disabled or every channel is healthy).
   echoimage::array::ChannelMask active_mask;
   std::size_t dropped_channels = 0;  ///< masked-out (dead) channel count
-  /// True when a DeadlineProbe fired mid-run: `images` holds only the
-  /// beeps finished before expiry (possibly none). The caller must treat
-  /// the capture as abstained (AbstainReason::kDeadline), never as a
-  /// rejection — a half-processed capture is not evidence either way.
+  /// True when a DeadlineProbe fired: `images` is empty, even when the
+  /// probe fired only after the imaging pass. The caller must treat the
+  /// capture as abstained (AbstainReason::kDeadline), never as a
+  /// rejection — a late capture is not evidence either way.
   bool deadline_expired = false;
   /// False when the health gate condemned the capture: distance/images are
   /// absent and the caller should re-beep (see CaptureSupervisor) rather
@@ -131,17 +132,17 @@ class EchoImagePipeline {
     return obs_;
   }
 
-  /// Distance estimation + per-beep image construction from one capture
-  /// context (AcousticImager::capture_context) shared by every beep. Runs
+  /// Distance estimation + one imaging pass over every beep
+  /// (AcousticImager::construct_capture) against one capture context. Runs
   /// the channel-health gate first (see SystemConfig::health_gate): dead
   /// channels are masked out and recorded in the result; a capture with
   /// fewer than `health.min_active_channels` healthy channels returns with
   /// `gate_passed() == false` and no images. Structurally invalid input
   /// (wrong channel count, ragged/empty channels) throws
   /// std::invalid_argument with a message naming the offending beep.
-  /// A non-empty `deadline` is polled before every per-beep image; on expiry
-  /// the result carries `deadline_expired = true` and the remaining beeps
-  /// are skipped (see DeadlineProbe).
+  /// A non-empty `deadline` is polled before the capture context and once
+  /// more after the imaging pass; on expiry at either poll the result
+  /// carries `deadline_expired = true` and no images (see DeadlineProbe).
   [[nodiscard]] ProcessedBeeps process(
       const std::vector<MultiChannelSignal>& beeps,
       const MultiChannelSignal& noise_only = {},

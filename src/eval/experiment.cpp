@@ -98,12 +98,13 @@ ExperimentResult run_authentication_experiment(
         std::abs(plane_distance - batch.true_distance_m);
     if (config.oracle_plane) {
       plane_distance = batch.true_distance_m;
-      processed.images.clear();
-      for (const auto& beep : batch.beeps)
-        processed.images.push_back(
-            echoimage::core::AcousticImage{pipeline.imager().construct_bands(
-                beep, echoimage::units::Meters{plane_distance},
-                processed.distance.tau_direct_s, batch.noise_only)});
+      const echoimage::core::AcousticImager& imager = pipeline.imager();
+      processed.images = imager.construct_capture(
+          batch.beeps,
+          imager.capture_context(echoimage::units::Meters{plane_distance},
+                                 batch.beeps.front().length(),
+                                 processed.distance.tau_direct_s,
+                                 batch.noise_only));
     }
     out.features =
         pipeline.features_batch(processed.images, plane_distance, augment);

@@ -58,14 +58,6 @@ struct KernelTable {
   void (*sos_section_f64)(double* x, std::size_t num_frames, std::size_t width,
                           const SosCoeffs& c, double* z1, double* z2);
 
-  /// Steered beamformer energy over [first, first+count):
-  /// e = sum_t |sum_m conj(w[m]) * ch[m][t]|^2, with the per-sample |y|^2
-  /// terms accumulated in ascending t order into one accumulator — the
-  /// exact association of the scalar reference, on every lane.
-  double (*steered_energy_f64)(const std::complex<double>* const* ch,
-                               std::size_t m, const std::complex<double>* w,
-                               std::size_t first, std::size_t count);
-
   /// Incoherent (phase-free) energy: sum over channels (outer, ascending)
   /// of sum over t in [first, first+count) (inner, ascending) of |ch[m][t]|^2.
   /// The caller divides by the channel count.

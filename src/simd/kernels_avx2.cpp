@@ -137,43 +137,6 @@ void sos_section_f64(double* x, std::size_t num_frames, std::size_t width,
   }
 }
 
-double steered_energy_f64(const Complex* const* ch, std::size_t m,
-                          const Complex* w, std::size_t first,
-                          std::size_t count) {
-  double e = 0.0;
-  const auto* pw = reinterpret_cast<const double*>(w);
-  std::size_t t = first;
-  const std::size_t last = first + count;
-  for (; t + 4 <= last; t += 4) {
-    __m256d yre = _mm256_setzero_pd();
-    __m256d yim = _mm256_setzero_pd();
-    for (std::size_t c = 0; c < m; ++c) {
-      const __m256d wr = _mm256_set1_pd(pw[2 * c]);
-      const __m256d wi = _mm256_set1_pd(pw[2 * c + 1]);
-      __m256d xr, xi;
-      deinterleave4(reinterpret_cast<const double*>(ch[c]) + 2 * t, xr, xi);
-      yre = _mm256_add_pd(
-          yre, _mm256_add_pd(_mm256_mul_pd(wr, xr), _mm256_mul_pd(wi, xi)));
-      yim = _mm256_add_pd(
-          yim, _mm256_sub_pd(_mm256_mul_pd(wr, xi), _mm256_mul_pd(wi, xr)));
-    }
-    const __m256d nv =
-        _mm256_add_pd(_mm256_mul_pd(yre, yre), _mm256_mul_pd(yim, yim));
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, nv);
-    e += lanes[0];
-    e += lanes[1];
-    e += lanes[2];
-    e += lanes[3];
-  }
-  for (; t < last; ++t) {
-    Complex y(0.0, 0.0);
-    for (std::size_t c = 0; c < m; ++c) y += std::conj(w[c]) * ch[c][t];
-    e += std::norm(y);
-  }
-  return e;
-}
-
 double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
                              std::size_t first, std::size_t count) {
   double e = 0.0;
@@ -205,7 +168,6 @@ const KernelTable kTable = {
     .complex_scale_f64 = &complex_scale_f64,
     .scale_f64 = &scale_f64,
     .sos_section_f64 = &sos_section_f64,
-    .steered_energy_f64 = &steered_energy_f64,
     .incoherent_energy_f64 = &incoherent_energy_f64,
 };
 

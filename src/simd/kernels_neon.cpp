@@ -119,40 +119,6 @@ void sos_section_f64(double* x, std::size_t num_frames, std::size_t width,
   }
 }
 
-double steered_energy_f64(const Complex* const* ch, std::size_t m,
-                          const Complex* w, std::size_t first,
-                          std::size_t count) {
-  double e = 0.0;
-  const auto* pw = reinterpret_cast<const double*>(w);
-  std::size_t t = first;
-  const std::size_t last = first + count;
-  for (; t + 2 <= last; t += 2) {
-    float64x2_t yre = vdupq_n_f64(0.0);
-    float64x2_t yim = vdupq_n_f64(0.0);
-    for (std::size_t c = 0; c < m; ++c) {
-      const float64x2_t wr = vdupq_n_f64(pw[2 * c]);
-      const float64x2_t wi = vdupq_n_f64(pw[2 * c + 1]);
-      const float64x2x2_t xc =
-          vld2q_f64(reinterpret_cast<const double*>(ch[c]) + 2 * t);
-      // conj(w)*x: re = wr*xr + wi*xi, im = wr*xi - wi*xr.
-      yre = vaddq_f64(yre, vaddq_f64(vmulq_f64(wr, xc.val[0]),
-                                     vmulq_f64(wi, xc.val[1])));
-      yim = vaddq_f64(yim, vsubq_f64(vmulq_f64(wr, xc.val[1]),
-                                     vmulq_f64(wi, xc.val[0])));
-    }
-    const float64x2_t nv =
-        vaddq_f64(vmulq_f64(yre, yre), vmulq_f64(yim, yim));
-    e += vgetq_lane_f64(nv, 0);
-    e += vgetq_lane_f64(nv, 1);
-  }
-  for (; t < last; ++t) {
-    Complex y(0.0, 0.0);
-    for (std::size_t c = 0; c < m; ++c) y += std::conj(w[c]) * ch[c][t];
-    e += std::norm(y);
-  }
-  return e;
-}
-
 double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
                              std::size_t first, std::size_t count) {
   double e = 0.0;
@@ -179,7 +145,6 @@ const KernelTable kTable = {
     .complex_scale_f64 = &complex_scale_f64,
     .scale_f64 = &scale_f64,
     .sos_section_f64 = &sos_section_f64,
-    .steered_energy_f64 = &steered_energy_f64,
     .incoherent_energy_f64 = &incoherent_energy_f64,
 };
 

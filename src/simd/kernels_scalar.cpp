@@ -57,18 +57,6 @@ void sos_section_f64(double* x, std::size_t num_frames, std::size_t width,
   }
 }
 
-double steered_energy_f64(const Complex* const* ch, std::size_t m,
-                          const Complex* w, std::size_t first,
-                          std::size_t count) {
-  double e = 0.0;
-  for (std::size_t t = first; t < first + count; ++t) {
-    Complex y(0.0, 0.0);
-    for (std::size_t c = 0; c < m; ++c) y += std::conj(w[c]) * ch[c][t];
-    e += std::norm(y);
-  }
-  return e;
-}
-
 double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
                              std::size_t first, std::size_t count) {
   double e = 0.0;
@@ -85,7 +73,6 @@ const KernelTable kTable = {
     .complex_scale_f64 = &complex_scale_f64,
     .scale_f64 = &scale_f64,
     .sos_section_f64 = &sos_section_f64,
-    .steered_energy_f64 = &steered_energy_f64,
     .incoherent_energy_f64 = &incoherent_energy_f64,
 };
 

@@ -114,46 +114,6 @@ void sos_section_f64(double* x, std::size_t num_frames, std::size_t width,
   }
 }
 
-double steered_energy_f64(const Complex* const* ch, std::size_t m,
-                          const Complex* w, std::size_t first,
-                          std::size_t count) {
-  double e = 0.0;
-  const auto* pw = reinterpret_cast<const double*>(w);
-  std::size_t t = first;
-  const std::size_t last = first + count;
-  for (; t + 2 <= last; t += 2) {
-    __m128d yre = _mm_setzero_pd();
-    __m128d yim = _mm_setzero_pd();
-    for (std::size_t c = 0; c < m; ++c) {
-      const __m128d wr = _mm_set1_pd(pw[2 * c]);
-      const __m128d wi = _mm_set1_pd(pw[2 * c + 1]);
-      const auto* pc = reinterpret_cast<const double*>(ch[c]);
-      const __m128d c0 = _mm_loadu_pd(pc + 2 * t);
-      const __m128d c1 = _mm_loadu_pd(pc + 2 * t + 2);
-      const __m128d xr = _mm_unpacklo_pd(c0, c1);  // [re_t, re_t+1]
-      const __m128d xi = _mm_unpackhi_pd(c0, c1);  // [im_t, im_t+1]
-      // conj(w)*x: re = wr*xr + wi*xi, im = wr*xi - wi*xr.
-      yre = _mm_add_pd(yre,
-                       _mm_add_pd(_mm_mul_pd(wr, xr), _mm_mul_pd(wi, xi)));
-      yim = _mm_add_pd(yim,
-                       _mm_sub_pd(_mm_mul_pd(wr, xi), _mm_mul_pd(wi, xr)));
-    }
-    const __m128d nv =
-        _mm_add_pd(_mm_mul_pd(yre, yre), _mm_mul_pd(yim, yim));
-    // Scalar adds in ascending t keep the reference accumulator bits.
-    alignas(16) double lanes[2];
-    _mm_store_pd(lanes, nv);
-    e += lanes[0];
-    e += lanes[1];
-  }
-  for (; t < last; ++t) {
-    Complex y(0.0, 0.0);
-    for (std::size_t c = 0; c < m; ++c) y += std::conj(w[c]) * ch[c][t];
-    e += std::norm(y);
-  }
-  return e;
-}
-
 double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
                              std::size_t first, std::size_t count) {
   double e = 0.0;
@@ -185,7 +145,6 @@ const KernelTable kTable = {
     .complex_scale_f64 = &complex_scale_f64,
     .scale_f64 = &scale_f64,
     .sos_section_f64 = &sos_section_f64,
-    .steered_energy_f64 = &steered_energy_f64,
     .incoherent_energy_f64 = &incoherent_energy_f64,
 };
 

@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <numbers>
 #include <random>
+#include <sstream>
 #include <utility>
 
 #include "array/covariance.hpp"
 #include "dsp/chirp.hpp"
 #include "dsp/hilbert.hpp"
+#include "dsp/matched_filter.hpp"
 #include "sim/scene.hpp"
 
 namespace echoimage::array {
@@ -138,13 +141,125 @@ TEST(NarrowbandBeamformer, SteeredEnergyWindowed) {
   const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 1024);
   const NarrowbandBeamformer bf(x, kFs, kF0, g,
                                 white_noise_covariance(g.num_mics()));
-  const double e_full = bf.steered_energy(src, 256, 512, true);
+  const CMatrix r = bf.gate_covariance(256, 512);
+  const double e_full = gated_energy(r, bf.weights_mvdr(src));
   // |analytic tone|^2 = 1 per sample.
   EXPECT_NEAR(e_full, 512.0, 30.0);
-  const double e_das = bf.steered_energy(src, 256, 512, false);
+  const double e_das = gated_energy(r, bf.weights_das(src));
   EXPECT_NEAR(e_das, e_full, 40.0);
   // Out-of-range window is empty.
-  EXPECT_DOUBLE_EQ(bf.steered_energy(src, 5000, 10, true), 0.0);
+  EXPECT_DOUBLE_EQ(gated_energy(bf.gate_covariance(5000, 10),
+                                bf.weights_mvdr(src)),
+                   0.0);
+}
+
+// The per-sample sum the gate covariance replaces, kept here as the
+// oracle: sum over t in the clipped gate of |w^H x(t)|^2.
+double per_sample_energy(const std::vector<ComplexSignal>& x,
+                         const std::vector<Complex>& w, std::size_t first,
+                         std::size_t count) {
+  double e = 0.0;
+  for (std::size_t t = first; t < first + count && t < x.front().size();
+       ++t) {
+    Complex y(0.0, 0.0);
+    for (std::size_t c = 0; c < x.size(); ++c) y += std::conj(w[c]) * x[c][t];
+    e += std::norm(y);
+  }
+  return e;
+}
+
+TEST(NarrowbandBeamformer, GatedEnergyMatchesThePerSampleOracle) {
+  // w^H R_g w against the per-sample sum, within 1e-12 * |w|^2 * tr(R_g),
+  // on pulse-compressed and raw gates, gates clipped at or starting past
+  // the window end, MVDR and delay-and-sum weights, full and degraded
+  // arrays. Zero-energy gates must read exactly zero.
+  const ArrayGeometry g = make_respeaker_array();
+  const Direction src{1.1, 1.3};
+  const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 600, 0.3, 5);
+  const dsp::Signal chirp = dsp::Chirp(dsp::ChirpParams{}).sample(kFs);
+  std::vector<ComplexSignal> raw, compressed;
+  for (const Signal& c : x.channels) {
+    raw.push_back(echoimage::dsp::analytic_signal(c));
+    compressed.push_back(
+        echoimage::dsp::matched_filter_complex(raw.back(), chirp));
+    compressed.back().resize(600);
+  }
+  std::mt19937 gen(9);
+  std::normal_distribution<double> d(0.0, 1.0);
+  MultiChannelSignal noise;
+  noise.channels.assign(g.num_mics(), Signal(2048));
+  for (Signal& c : noise.channels)
+    for (double& v : c) v = d(gen);
+  const CMatrix noise_cov = noise_covariance_of(noise);
+  ChannelMask degraded(g.num_mics(), true);
+  degraded[1] = false;
+  degraded[4] = false;
+  const std::vector<std::pair<std::size_t, std::size_t>> gates = {
+      {0, 600}, {37, 144}, {300, 1}, {512, 88}, {520, 200}, {599, 5},
+      {600, 10}, {700, 50}, {10, 0}};
+  const std::vector<Direction> looks = {src, {2.0, 0.7}, {kPi, 1.5}};
+  double worst = 0.0;
+  for (const std::vector<ComplexSignal>* chans : {&raw, &compressed}) {
+    for (const ChannelMask& mask : {ChannelMask{}, degraded}) {
+      const NarrowbandBeamformer bf(*chans, kFs, kF0, g, noise_cov,
+                                    kSpeedOfSoundMps, mask);
+      const std::vector<ComplexSignal> active =
+          mask.empty() ? *chans : select_channels(*chans, mask);
+      for (const auto& [first, count] : gates) {
+        const CMatrix r = bf.gate_covariance(first, count);
+        ASSERT_EQ(r.rows(), active.size());
+        double trace = 0.0;
+        for (std::size_t i = 0; i < r.rows(); ++i) trace += r(i, i).real();
+        for (const Direction& look : looks) {
+          for (const bool mvdr : {true, false}) {
+            std::vector<Complex> steering, w;
+            bf.compute_weights(look, mvdr, steering, w);
+            double w2 = 0.0;
+            for (const Complex& v : w) w2 += std::norm(v);
+            const double want = per_sample_energy(active, w, first, count);
+            const double got = gated_energy(r, w);
+            if (trace == 0.0) {
+              EXPECT_EQ(got, 0.0) << "gate " << first << "+" << count;
+              continue;
+            }
+            const double err = std::abs(got - want) / (w2 * trace);
+            worst = std::max(worst, err);
+            EXPECT_LE(err, 1e-12)
+                << "gate " << first << "+" << count << " mvdr " << mvdr
+                << " masked " << !mask.empty();
+          }
+        }
+      }
+    }
+  }
+  std::ostringstream worst_text;
+  worst_text << worst;
+  RecordProperty("worst_relative_error", worst_text.str());
+}
+
+TEST(NarrowbandBeamformer, GateCovarianceIsHermitianAndSummedInOrder) {
+  // R_g[i][j] = sum_t x_i(t) conj(x_j(t)) in ascending t for j >= i, its
+  // lower triangle the conjugate mirror; bitwise.
+  const ArrayGeometry g = make_respeaker_array();
+  const MultiChannelSignal x =
+      plane_wave_tone(g, Direction{0.4, 1.2}, kF0, 256, 0.2, 3);
+  std::vector<ComplexSignal> chans;
+  for (const Signal& c : x.channels)
+    chans.push_back(echoimage::dsp::analytic_signal(c));
+  const NarrowbandBeamformer bf(chans, kFs, kF0, g,
+                                white_noise_covariance(g.num_mics()));
+  const CMatrix r = bf.gate_covariance(40, 300);  // clipped at 256
+  for (std::size_t i = 0; i < 6; ++i) {
+    for (std::size_t j = i; j < 6; ++j) {
+      Complex acc(0.0, 0.0);
+      for (std::size_t t = 40; t < 256; ++t)
+        acc += chans[i][t] * std::conj(chans[j][t]);
+      EXPECT_EQ(r(i, j), acc) << i << "," << j;
+      EXPECT_EQ(r(j, i), std::conj(r(i, j))) << i << "," << j;
+    }
+  }
+  EXPECT_THROW((void)gated_energy(r, std::vector<Complex>(5)),
+               std::invalid_argument);
 }
 
 TEST(NarrowbandBeamformer, IncoherentEnergyIsDirectionFree) {
@@ -204,8 +319,9 @@ TEST(NarrowbandBeamformer, PhysicallyRenderedEchoFavoursTrueDirection) {
                                 white_noise_covariance(6));
   const Direction toward = direction_to_point(target);
   const Direction mirror{toward.theta + kPi, toward.phi};
-  const double e_toward = bf.steered_energy(toward, 0, echo.length(), false);
-  const double e_mirror = bf.steered_energy(mirror, 0, echo.length(), false);
+  const CMatrix r = bf.gate_covariance(0, echo.length());
+  const double e_toward = gated_energy(r, bf.weights_das(toward));
+  const double e_mirror = gated_energy(r, bf.weights_das(mirror));
   EXPECT_GT(e_toward, 1.3 * e_mirror);
 }
 
@@ -228,8 +344,9 @@ TEST(NarrowbandBeamformer, CopiesOutliveTheSource) {
   // Regression: the beamformer caches a kernel-facing channel-pointer
   // array; a member-wise copy left it aimed into the source object, so a
   // copy whose source had died read freed memory. Copies (and copies of
-  // copies) must answer energy queries bit-identically after the source
-  // is gone.
+  // copies) must answer energy and gate-covariance queries bit-identically
+  // after the source is gone; the incoherent energy reads the pointer
+  // array through the kernel table.
   const ArrayGeometry g = make_respeaker_array();
   const MultiChannelSignal x =
       plane_wave_tone(g, Direction{1.0, 1.2}, kF0, 512, 0.05);
@@ -239,17 +356,20 @@ TEST(NarrowbandBeamformer, CopiesOutliveTheSource) {
   auto source = std::make_unique<NarrowbandBeamformer>(
       chans, kFs, kF0, g, white_noise_covariance(g.num_mics()));
   const auto w = source->weights_mvdr(Direction{1.0, 1.2});
-  const double want_steered = source->steered_energy(w, 0, 512);
+  const double want_steered =
+      gated_energy(source->gate_covariance(0, 512), w);
   const double want_incoherent = source->incoherent_energy(0, 512);
   NarrowbandBeamformer copy = *source;
   NarrowbandBeamformer assigned = copy;
   assigned = *source;
   source.reset();  // free the original buffers
-  EXPECT_EQ(copy.steered_energy(w, 0, 512), want_steered);
+  EXPECT_EQ(gated_energy(copy.gate_covariance(0, 512), w), want_steered);
   EXPECT_EQ(copy.incoherent_energy(0, 512), want_incoherent);
-  EXPECT_EQ(assigned.steered_energy(w, 0, 512), want_steered);
+  EXPECT_EQ(gated_energy(assigned.gate_covariance(0, 512), w), want_steered);
+  EXPECT_EQ(assigned.incoherent_energy(0, 512), want_incoherent);
   const NarrowbandBeamformer moved = std::move(assigned);
-  EXPECT_EQ(moved.steered_energy(w, 0, 512), want_steered);
+  EXPECT_EQ(gated_energy(moved.gate_covariance(0, 512), w), want_steered);
+  EXPECT_EQ(moved.incoherent_energy(0, 512), want_incoherent);
 }
 
 TEST(Beampattern, PeaksAtLookDirection) {

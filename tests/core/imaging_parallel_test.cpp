@@ -231,9 +231,22 @@ TEST(ParallelImaging, IsaLanesBitIdenticalUnderThreadedEngine) {
   }
 }
 
-// The per-capture path: one context built per capture must image every
-// beep of it bit for bit as the one-context-per-call wrapper does, at
-// every worker count. The reference is the serial wrapper.
+// The capture's beeps with beeps 1 and 3 cut to 1,536 samples, so a pass
+// mixes two beep lengths (two matched-filter FFT lengths and two gate
+// windows).
+std::vector<MultiChannelSignal> mixed_length_beeps(
+    const echoimage::eval::CaptureBatch& batch) {
+  std::vector<MultiChannelSignal> beeps = batch.beeps;
+  for (std::size_t b = 1; b < beeps.size(); b += 2)
+    for (echoimage::dsp::Signal& ch : beeps[b].channels) ch.resize(1536);
+  return beeps;
+}
+
+// The per-capture path: one imaging pass over every beep of a capture
+// must image each beep bit for bit as the one-context-per-call wrapper
+// does, and so must the one-beep call on the shared context, at {1, 2, 3,
+// 4, 8} workers and on every ISA lane. The reference is the serial
+// wrapper.
 void expect_context_matches_wrapper(const ImagingConfig& base,
                                     const echoimage::eval::CaptureBatch& batch,
                                     const MultiChannelSignal& noise,
@@ -241,25 +254,36 @@ void expect_context_matches_wrapper(const ImagingConfig& base,
                                     const echoimage::array::ChannelMask& mask,
                                     const char* what) {
   const auto geometry = echoimage::array::make_respeaker_array();
+  const std::vector<MultiChannelSignal> beeps = mixed_length_beeps(batch);
+  ASSERT_EQ(beeps.size(), 4u);
+  ASSERT_NE(beeps[0].length(), beeps[1].length());
   ImagingConfig cfg = base;
   cfg.num_threads = 1;
   const AcousticImager serial(cfg, geometry);
   std::vector<std::vector<Matrix2D>> reference;
-  for (const MultiChannelSignal& beep : batch.beeps)
+  for (const MultiChannelSignal& beep : beeps)
     reference.push_back(serial.construct_bands(beep, 0.7_m, 0.0002, noise,
                                                tau_echo_s, mask));
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
-    cfg.num_threads = threads;
-    const AcousticImager imager(cfg, geometry);
-    const AcousticImager::CaptureContext context = imager.capture_context(
-        0.7_m, batch.beeps.front().length(), 0.0002, noise, tau_echo_s, mask);
-    for (std::size_t b = 0; b < batch.beeps.size(); ++b) {
-      SCOPED_TRACE(::testing::Message() << what << ", " << threads
-                                        << " workers, beep " << b);
-      expect_bitwise_equal(reference[b],
-                           imager.construct_bands(batch.beeps[b], context),
-                           what);
+  for (echoimage::simd::Isa isa : echoimage::simd::supported_isas()) {
+    echoimage::simd::ScopedIsa forced(isa);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{3}, std::size_t{4},
+                                      std::size_t{8}}) {
+      cfg.num_threads = threads;
+      const AcousticImager imager(cfg, geometry);
+      const AcousticImager::CaptureContext context = imager.capture_context(
+          0.7_m, beeps.front().length(), 0.0002, noise, tau_echo_s, mask);
+      const std::vector<AcousticImage> pass =
+          imager.construct_capture(beeps, context);
+      ASSERT_EQ(pass.size(), beeps.size());
+      for (std::size_t b = 0; b < beeps.size(); ++b) {
+        SCOPED_TRACE(::testing::Message()
+                     << what << ", lane " << echoimage::simd::isa_name(isa)
+                     << ", " << threads << " workers, beep " << b);
+        expect_bitwise_equal(reference[b], pass[b].bands, what);
+        expect_bitwise_equal(reference[b],
+                             imager.construct_bands(beeps[b], context), what);
+      }
     }
   }
 }
@@ -303,6 +327,20 @@ TEST(ParallelImaging, CaptureContextMatchesPerBeepWrapperOnClippedRawGates) {
   cfg.pulse_compression = false;
   expect_context_matches_wrapper(cfg, batch, batch.noise_only, 0.054, {},
                                  "clipped raw gates");
+}
+
+TEST(ParallelImaging, CaptureContextMatchesPerBeepWrapperAtTheMixExtremes) {
+  // mix = 1 skips every direction, weight and gate covariance; mix = 0
+  // skips the incoherent energies. Both still reproduce the wrapper.
+  const Fixture f;
+  const auto batch = f.batch(0, 4);
+  for (const double mix : {0.0, 1.0}) {
+    ImagingConfig cfg = small_config();
+    cfg.incoherent_mix = mix;
+    expect_context_matches_wrapper(cfg, batch, batch.noise_only, -1.0, {},
+                                   mix == 0.0 ? "coherent only"
+                                              : "incoherent only");
+  }
 }
 
 TEST(ParallelImaging, CaptureContextServesABeepOfAnotherLength) {

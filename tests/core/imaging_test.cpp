@@ -86,6 +86,21 @@ TEST(AcousticImager, ConstructBandsReturnsOneImagePerSubband) {
   }
 }
 
+TEST(AcousticImager, CapturePassImagesNothingFromNothingAndRejectsBadBeeps) {
+  const Fixture f;
+  const AcousticImager imager(small_config(), f.geometry);
+  echoimage::eval::CollectionConditions cond;
+  const auto batch = f.collector.collect(f.users[0], cond, 1);
+  const AcousticImager::CaptureContext context = imager.capture_context(
+      0.7_m, batch.beeps[0].length(), 0.0002, batch.noise_only);
+  EXPECT_TRUE(imager.construct_capture({}, context).empty());
+  MultiChannelSignal five_mics = batch.beeps[0];
+  five_mics.channels.pop_back();
+  const std::vector<MultiChannelSignal> beeps{batch.beeps[0], five_mics};
+  EXPECT_THROW((void)imager.construct_capture(beeps, context),
+               std::invalid_argument);
+}
+
 TEST(AcousticImager, BandsSumToCompoundedImageEnergy) {
   // construct() compounds band energies: sum of squared band pixels must
   // equal the squared compounded pixel.

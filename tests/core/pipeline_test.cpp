@@ -61,6 +61,41 @@ TEST(Pipeline, ProcessProducesOneImagePerBeep) {
   }
 }
 
+TEST(Pipeline, DeadlineIsPolledOnlyAroundTheImagingPass) {
+  // A probe that never fires is polled twice: before the capture context
+  // and after the one pass that images every beep — never per beep.
+  const Fixture f;
+  echoimage::eval::CollectionConditions cond;
+  const auto batch = f.collector.collect(f.users[0], cond, 3);
+  std::size_t polls = 0;
+  const ProcessedBeeps p =
+      f.pipeline.process(batch.beeps, batch.noise_only, [&polls] {
+        ++polls;
+        return false;
+      });
+  ASSERT_TRUE(p.distance.valid);
+  EXPECT_FALSE(p.deadline_expired);
+  EXPECT_EQ(p.images.size(), 3u);
+  EXPECT_EQ(polls, 2u);
+}
+
+TEST(Pipeline, DeadlineExpiringDuringTheImagingPassDiscardsEveryImage) {
+  // The probe holds at its first poll (before the capture context) and has
+  // expired from then on: the pass runs, then the poll after it discards
+  // every image. A late capture comes back with no images, never with a
+  // prefix of its beeps.
+  const Fixture f;
+  echoimage::eval::CollectionConditions cond;
+  const auto batch = f.collector.collect(f.users[0], cond, 3);
+  std::size_t polls = 0;
+  const ProcessedBeeps p = f.pipeline.process(
+      batch.beeps, batch.noise_only, [&polls] { return polls++ > 0; });
+  EXPECT_TRUE(p.distance.valid);
+  EXPECT_TRUE(p.deadline_expired);
+  EXPECT_TRUE(p.images.empty());
+  EXPECT_EQ(polls, 2u);
+}
+
 TEST(Pipeline, FeaturesConcatenateBands) {
   const Fixture f;
   echoimage::eval::CollectionConditions cond;

@@ -244,6 +244,41 @@ TEST(CaptureSupervisor, ExpiredDeadlineAbstainsWithDeadlineReason) {
   EXPECT_FALSE(d.accepted);
 }
 
+TEST(CaptureSupervisor, DeadlineExpiringMidCaptureAbstainsAndNeverRejects) {
+  // Probes that hold for their first one or two polls and have expired
+  // from then on: the supervisor's own poll, the pipeline's poll before the
+  // capture context and its poll after the imaging pass each see a
+  // different answer. Whichever poll first sees the expiry, the outcome is
+  // a deadline abstention, never a rejection.
+  const Fixture f;
+  const eval::CaptureBatch clean = f.capture();
+  const auto pe = f.pipeline.process(clean.beeps, clean.noise_only);
+  ASSERT_TRUE(pe.distance.valid);
+  EnrolledUser u;
+  u.user_id = 1;
+  u.features = f.pipeline.features_batch(
+      pe.images, pe.distance.user_distance_centroid_m, false);
+  const Authenticator auth = f.pipeline.enroll({u});
+
+  const CaptureSupervisor sup(f.pipeline);
+  for (const std::size_t holds : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(::testing::Message() << "probe holds for " << holds
+                                      << " poll(s)");
+    std::size_t polls = 0;
+    std::size_t calls = 0;
+    const AuthDecision d = sup.authenticate(
+        [&](std::size_t) {
+          ++calls;
+          return CaptureAttempt{clean.beeps, clean.noise_only};
+        },
+        auth, [&polls, holds] { return polls++ >= holds; });
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(d.outcome, AuthOutcome::kAbstained);
+    EXPECT_EQ(d.abstain_reason, AbstainReason::kDeadline);
+    EXPECT_FALSE(d.accepted);
+  }
+}
+
 TEST(CaptureSupervisor, RetryIsTransparentToAuthentication) {
   // A transient gate failure followed by a clean capture must yield the
   // same decision as the clean capture alone.
