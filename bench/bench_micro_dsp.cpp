@@ -1,8 +1,9 @@
 // Micro-benchmarks of the DSP kernels the imager runs per beep, swept
 // across every ISA lane this machine supports (forced via
 // simd::ScopedIsa), with the scalar lane as the baseline. The gate
-// covariance and the quadratic form are plain scalar code outside the
-// kernel table, so their rows read the same on every lane. For each kernel x
+// covariance, the quadratic form and the incoherent energy are plain
+// scalar code outside the kernel table, so their rows read the same on
+// every lane. For each kernel x
 // lane the harness reports ns/op and the speedup over scalar, and
 // cross-checks that the lane reproduced the scalar output bit for bit — a
 // benchmark that quietly measured different numbers would be worthless.
@@ -163,24 +164,26 @@ std::vector<Kernel> make_kernels() {
       ch.resize(len);
       for (auto& v : ch) v = Complex(d(gen), d(gen));
     }
-    const auto geom = array::make_respeaker_array();
-    const auto cov = array::white_noise_covariance(m);
-    array::NarrowbandBeamformer bf(chans, 48000.0, units::Hertz{2500.0}, geom,
-                                   cov);
-    const auto w = bf.weights_mvdr(array::Direction{1.0, 1.2});
-    kernels.push_back({"gate_covariance", m * gate, [bf, gate]() {
-                         const auto r = bf.gate_covariance(1000, gate);
+    const array::WeightSolver solver(array::make_respeaker_array(),
+                                     array::white_noise_covariance(m),
+                                     units::Hertz{2500.0});
+    std::vector<Complex> steering, w;
+    solver.compute_weights(array::Direction{1.0, 1.2}, true, steering, w);
+    kernels.push_back({"gate_covariance", m * gate, [chans, gate]() {
+                         const auto r =
+                             array::gate_covariance(chans, 1000, gate);
                          return digest(
                              reinterpret_cast<const double*>(r.data().data()),
                              2 * r.data().size());
                        }});
-    const auto r = bf.gate_covariance(1000, gate);
+    const auto r = array::gate_covariance(chans, 1000, gate);
     kernels.push_back({"gated_energy", m * m, [r, w]() {
                          const double e = array::gated_energy(r, w);
                          return std::bit_cast<std::uint64_t>(e);
                        }});
-    kernels.push_back({"incoherent_energy_f64", m * len, [bf, len]() {
-                         const double e = bf.incoherent_energy(0, len);
+    kernels.push_back({"incoherent_energy", m * len, [chans, len]() {
+                         const double e =
+                             array::incoherent_energy(chans, 0, len);
                          return std::bit_cast<std::uint64_t>(e);
                        }});
   }

@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 
 #include "dsp/hilbert.hpp"
-#include "simd/kernels.hpp"
 
 namespace echoimage::array {
 
 using echoimage::dsp::Complex;
 using echoimage::dsp::ComplexSignal;
 using echoimage::linalg::hdot;
-using echoimage::linalg::multiply;
 
 std::vector<Complex> das_weights(const std::vector<Complex>& steering) {
   std::vector<Complex> w = steering;
@@ -38,116 +37,53 @@ ComplexSignal apply_weights(const std::vector<ComplexSignal>& channels,
 
 namespace {
 
-/// Validate an active-channel mask against the full channel count. Returns
-/// true when the mask actually drops something.
-bool check_mask(const ChannelMask& mask, std::size_t num_channels) {
-  if (mask.empty()) return false;
-  if (mask.size() != num_channels)
-    throw std::invalid_argument("NarrowbandBeamformer: mask/channel mismatch");
-  const std::size_t active = count_active(mask);
-  if (active == 0)
-    throw std::invalid_argument(
-        "NarrowbandBeamformer: mask leaves no channel");
-  return active < num_channels;
+/// Common length of a gate statistic's channels, clipped `last` of
+/// [first, first+count) within it.
+std::size_t clipped_last(const std::vector<ComplexSignal>& channels,
+                         std::size_t first, std::size_t count,
+                         const char* what) {
+  if (channels.empty())
+    throw std::invalid_argument(std::string(what) + ": no channels");
+  const std::size_t length = channels.front().size();
+  for (const ComplexSignal& c : channels)
+    if (c.size() != length)
+      throw std::invalid_argument(std::string(what) + ": ragged channels");
+  return std::min(length, first + count);
 }
 
 }  // namespace
 
-NarrowbandBeamformer::NarrowbandBeamformer(const MultiChannelSignal& bandpassed,
-                                           double sample_rate,
-                                           units::Hertz center_freq,
-                                           ArrayGeometry geom,
-                                           CMatrix noise_covariance,
-                                           units::MetersPerSecond speed_of_sound,
-                                           const ChannelMask& active_mask)
-    : sample_rate_(sample_rate),
-      center_freq_hz_(center_freq.value()),
-      speed_of_sound_(speed_of_sound.value()) {
-  if (bandpassed.num_channels() != geom.num_mics())
-    throw std::invalid_argument("NarrowbandBeamformer: channel/mic mismatch");
-  if (!bandpassed.is_rectangular())
-    throw std::invalid_argument(
-        "NarrowbandBeamformer: ragged multichannel capture");
+WeightSolver::WeightSolver(const ArrayGeometry& geom,
+                           const CMatrix& noise_covariance,
+                           units::Hertz center_freq,
+                           units::MetersPerSecond speed_of_sound,
+                           const ChannelMask& active_mask)
+    : geom_(geom.subarray(active_mask)),
+      center_freq_(center_freq),
+      speed_of_sound_(speed_of_sound) {
   if (noise_covariance.rows() != geom.num_mics() ||
       noise_covariance.cols() != geom.num_mics())
-    throw std::invalid_argument(
-        "NarrowbandBeamformer: covariance/mic mismatch");
-  const bool reduced = check_mask(active_mask, bandpassed.num_channels());
-  geom_ = reduced ? geom.subarray(active_mask) : std::move(geom);
-  noise_cov_ = reduced ? masked_covariance(noise_covariance, active_mask)
-                       : std::move(noise_covariance);
-  length_ = bandpassed.length();
-  analytic_.reserve(geom_.num_mics());
-  for (std::size_t c = 0; c < bandpassed.num_channels(); ++c) {
-    if (reduced && !active_mask[c]) continue;
-    analytic_.push_back(
-        echoimage::dsp::analytic_signal(bandpassed.channels[c]));
+    throw std::invalid_argument("WeightSolver: covariance/mic mismatch");
+  CMatrix loaded = masked_covariance(noise_covariance, active_mask);
+  loaded.add_diagonal(1e-3);
+  noise_cov_inv_ = echoimage::linalg::inverse(loaded);
+}
+
+void WeightSolver::compute_weights(const Direction& dir, bool use_mvdr,
+                                   std::vector<Complex>& scratch,
+                                   std::vector<Complex>& out) const {
+  steering_vector_into(geom_, dir,
+                       2.0 * std::numbers::pi * center_freq_.value(),
+                       speed_of_sound_, scratch);
+  if (use_mvdr) {
+    echoimage::linalg::multiply_into(noise_cov_inv_, scratch, out);
+    const Complex denom = hdot(scratch, out);
+    for (Complex& w : out) w /= denom;
+  } else {
+    out = scratch;
+    const double inv_m = 1.0 / static_cast<double>(out.size());
+    for (Complex& w : out) w *= inv_m;
   }
-  noise_cov_.add_diagonal(1e-3);
-  noise_cov_inv_ = echoimage::linalg::inverse(noise_cov_);
-  finalize_channels();
-}
-
-NarrowbandBeamformer::NarrowbandBeamformer(
-    std::vector<ComplexSignal> channels, double sample_rate,
-    units::Hertz center_freq, ArrayGeometry geom, CMatrix noise_covariance,
-    units::MetersPerSecond speed_of_sound, const ChannelMask& active_mask)
-    : sample_rate_(sample_rate),
-      center_freq_hz_(center_freq.value()),
-      speed_of_sound_(speed_of_sound.value()) {
-  if (channels.size() != geom.num_mics())
-    throw std::invalid_argument("NarrowbandBeamformer: channel/mic mismatch");
-  if (noise_covariance.rows() != geom.num_mics() ||
-      noise_covariance.cols() != geom.num_mics())
-    throw std::invalid_argument(
-        "NarrowbandBeamformer: covariance/mic mismatch");
-  const bool reduced = check_mask(active_mask, channels.size());
-  geom_ = reduced ? geom.subarray(active_mask) : std::move(geom);
-  noise_cov_ = reduced ? masked_covariance(noise_covariance, active_mask)
-                       : std::move(noise_covariance);
-  analytic_ = reduced ? select_channels(channels, active_mask)
-                      : std::move(channels);
-  length_ = analytic_.front().size();
-  for (const ComplexSignal& c : analytic_)
-    if (c.size() != length_)
-      throw std::invalid_argument(
-          "NarrowbandBeamformer: ragged complex channels");
-  noise_cov_.add_diagonal(1e-3);
-  noise_cov_inv_ = echoimage::linalg::inverse(noise_cov_);
-  finalize_channels();
-}
-
-NarrowbandBeamformer::NarrowbandBeamformer(const NarrowbandBeamformer& other)
-    : geom_(other.geom_),
-      sample_rate_(other.sample_rate_),
-      center_freq_hz_(other.center_freq_hz_),
-      speed_of_sound_(other.speed_of_sound_),
-      length_(other.length_),
-      analytic_(other.analytic_),
-      noise_cov_(other.noise_cov_),
-      noise_cov_inv_(other.noise_cov_inv_) {
-  finalize_channels();
-}
-
-NarrowbandBeamformer& NarrowbandBeamformer::operator=(
-    const NarrowbandBeamformer& other) {
-  if (this == &other) return *this;
-  geom_ = other.geom_;
-  sample_rate_ = other.sample_rate_;
-  center_freq_hz_ = other.center_freq_hz_;
-  speed_of_sound_ = other.speed_of_sound_;
-  length_ = other.length_;
-  analytic_ = other.analytic_;
-  noise_cov_ = other.noise_cov_;
-  noise_cov_inv_ = other.noise_cov_inv_;
-  finalize_channels();
-  return *this;
-}
-
-void NarrowbandBeamformer::finalize_channels() {
-  ch_ptrs_.clear();
-  ch_ptrs_.reserve(analytic_.size());
-  for (const ComplexSignal& c : analytic_) ch_ptrs_.push_back(c.data());
 }
 
 CMatrix noise_covariance_of(const MultiChannelSignal& noise) {
@@ -160,76 +96,19 @@ CMatrix noise_covariance_of(const MultiChannelSignal& noise) {
   return normalized_covariance(analytic, 0, noise.length());
 }
 
-CMatrix noise_covariance_of(const MultiChannelSignal& noise,
-                            const ChannelMask& mask) {
-  if (mask.empty()) return noise_covariance_of(noise);
-  if (mask.size() != noise.num_channels())
-    throw std::invalid_argument("noise_covariance_of: mask/channel mismatch");
-  MultiChannelSignal kept;
-  kept.channels.reserve(noise.num_channels());
-  for (std::size_t c = 0; c < noise.num_channels(); ++c)
-    if (mask[c]) kept.channels.push_back(noise.channels[c]);
-  if (kept.channels.empty())
-    throw std::invalid_argument("noise_covariance_of: mask leaves no channel");
-  return noise_covariance_of(kept);
-}
-
-std::vector<Complex> NarrowbandBeamformer::weights_mvdr(
-    const Direction& dir) const {
-  const std::vector<Complex> a =
-      steering_vector_hz(geom_, dir, units::Hertz{center_freq_hz_},
-                         units::MetersPerSecond{speed_of_sound_});
-  std::vector<Complex> ra = multiply(noise_cov_inv_, a);
-  const Complex denom = hdot(a, ra);
-  for (Complex& w : ra) w /= denom;
-  return ra;
-}
-
-std::vector<Complex> NarrowbandBeamformer::weights_das(
-    const Direction& dir) const {
-  return das_weights(
-      steering_vector_hz(geom_, dir, units::Hertz{center_freq_hz_},
-                         units::MetersPerSecond{speed_of_sound_}));
-}
-
-void NarrowbandBeamformer::compute_weights(const Direction& dir,
-                                           bool use_mvdr,
-                                           std::vector<Complex>& scratch,
-                                           std::vector<Complex>& out) const {
-  steering_vector_into(geom_, dir,
-                       2.0 * std::numbers::pi * center_freq_hz_,
-                       units::MetersPerSecond{speed_of_sound_}, scratch);
-  if (use_mvdr) {
-    echoimage::linalg::multiply_into(noise_cov_inv_, scratch, out);
-    const Complex denom = hdot(scratch, out);
-    for (Complex& w : out) w /= denom;
-  } else {
-    out = scratch;
-    const double inv_m = 1.0 / static_cast<double>(out.size());
-    for (Complex& w : out) w *= inv_m;
-  }
-}
-
-ComplexSignal NarrowbandBeamformer::steer(const Direction& dir) const {
-  return apply_weights(analytic_, weights_mvdr(dir));
-}
-
-ComplexSignal NarrowbandBeamformer::steer_das(const Direction& dir) const {
-  return apply_weights(analytic_, weights_das(dir));
-}
-
-CMatrix NarrowbandBeamformer::gate_covariance(std::size_t first,
-                                              std::size_t count) const {
-  const std::size_t m = analytic_.size();
+CMatrix gate_covariance(const std::vector<ComplexSignal>& channels,
+                        std::size_t first, std::size_t count) {
+  const std::size_t last =
+      clipped_last(channels, first, count, "gate_covariance");
+  const std::size_t m = channels.size();
   CMatrix r(m, m);
-  const std::size_t last = std::min(length_, first + count);
   if (first >= last) return r;
   // x_i conj(x_j) spelled out in real arithmetic: the same roundings as
   // the std::complex product, without its NaN-recovery branch.
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = i; j < m; ++j) {
-      const Complex* xi = ch_ptrs_[i];
-      const Complex* xj = ch_ptrs_[j];
+      const Complex* xi = channels[i].data();
+      const Complex* xj = channels[j].data();
       double re = 0.0, im = 0.0;
       for (std::size_t t = first; t < last; ++t) {
         re += xi[t].real() * xj[t].real() + xi[t].imag() * xj[t].imag();
@@ -240,6 +119,17 @@ CMatrix NarrowbandBeamformer::gate_covariance(std::size_t first,
     }
   }
   return r;
+}
+
+double incoherent_energy(const std::vector<ComplexSignal>& channels,
+                         std::size_t first, std::size_t count) {
+  const std::size_t last =
+      clipped_last(channels, first, count, "incoherent_energy");
+  if (first >= last) return 0.0;
+  double e = 0.0;
+  for (const ComplexSignal& x : channels)
+    for (std::size_t t = first; t < last; ++t) e += std::norm(x[t]);
+  return e / static_cast<double>(channels.size());
 }
 
 double gated_energy(const CMatrix& gate_covariance,
@@ -260,16 +150,6 @@ double gated_energy(const CMatrix& gate_covariance,
     q += w[i].real() * are + w[i].imag() * aim;
   }
   return q;
-}
-
-double NarrowbandBeamformer::incoherent_energy(std::size_t first,
-                                               std::size_t count) const {
-  const std::size_t last = std::min(length_, first + count);
-  const std::size_t m = analytic_.size();
-  if (first >= last) return 0.0;
-  const std::size_t n = last - first;
-  return simd::kernels().incoherent_energy_f64(ch_ptrs_.data(), m, first, n) /
-         static_cast<double>(m);
 }
 
 std::vector<double> beampattern(const ArrayGeometry& geom,

@@ -41,20 +41,6 @@ CMatrix white_noise_covariance(std::size_t num_mics) {
   return CMatrix::identity(num_mics);
 }
 
-std::vector<ComplexSignal> select_channels(
-    const std::vector<ComplexSignal>& channels, const ChannelMask& mask) {
-  if (mask.empty()) return channels;
-  if (mask.size() != channels.size())
-    throw std::invalid_argument("select_channels: mask/channel mismatch");
-  std::vector<ComplexSignal> kept;
-  kept.reserve(channels.size());
-  for (std::size_t c = 0; c < channels.size(); ++c)
-    if (mask[c]) kept.push_back(channels[c]);
-  if (kept.empty())
-    throw std::invalid_argument("select_channels: mask leaves no channel");
-  return kept;
-}
-
 CMatrix masked_covariance(const CMatrix& full, const ChannelMask& mask) {
   if (mask.empty()) return full;
   if (mask.size() != full.rows() || full.rows() != full.cols())
@@ -70,18 +56,6 @@ CMatrix masked_covariance(const CMatrix& full, const ChannelMask& mask) {
     for (std::size_t j = 0; j < keep.size(); ++j)
       out(i, j) = full(keep[i], keep[j]);
   return out;
-}
-
-CMatrix spatial_covariance(const std::vector<ComplexSignal>& channels,
-                           std::size_t first, std::size_t count,
-                           const ChannelMask& mask) {
-  return spatial_covariance(select_channels(channels, mask), first, count);
-}
-
-CMatrix normalized_covariance(const std::vector<ComplexSignal>& channels,
-                              std::size_t first, std::size_t count,
-                              const ChannelMask& mask) {
-  return normalized_covariance(select_channels(channels, mask), first, count);
 }
 
 }  // namespace echoimage::array

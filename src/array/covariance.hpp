@@ -36,25 +36,11 @@ using echoimage::linalg::CMatrix;
 /// under which MVDR reduces to delay-and-sum.
 [[nodiscard]] CMatrix white_noise_covariance(std::size_t num_mics);
 
-/// Masked variants: only channels whose mask entry is true contribute, and
-/// the result has size = number of active channels (order preserved) — the
-/// covariance the surviving subarray actually sees, rather than a full-size
-/// matrix poisoned by a dead channel's zeros or garbage. An empty mask
-/// means all channels. Throws std::invalid_argument on a mask length
-/// mismatch or when the mask leaves no channel.
-[[nodiscard]] CMatrix spatial_covariance(
-    const std::vector<ComplexSignal>& channels, std::size_t first,
-    std::size_t count, const ChannelMask& mask);
-[[nodiscard]] CMatrix normalized_covariance(
-    const std::vector<ComplexSignal>& channels, std::size_t first,
-    std::size_t count, const ChannelMask& mask);
-
-/// Keep only the masked channels (empty mask = all). Shared by every
-/// masked array-layer entry point.
-[[nodiscard]] std::vector<ComplexSignal> select_channels(
-    const std::vector<ComplexSignal>& channels, const ChannelMask& mask);
-
-/// Principal submatrix of a covariance over the active channels.
+/// Principal submatrix of a covariance over the active channels (empty
+/// mask = all): the covariance the surviving subarray actually sees,
+/// rather than a full-size matrix poisoned by a dead channel's zeros or
+/// garbage. Throws std::invalid_argument on a mask/matrix size mismatch or
+/// when the mask leaves no channel.
 [[nodiscard]] CMatrix masked_covariance(const CMatrix& full,
                                         const ChannelMask& mask);
 

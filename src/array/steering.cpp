@@ -78,18 +78,4 @@ void steering_vector_into(const ArrayGeometry& geom, const Direction& dir,
   }
 }
 
-std::vector<Complex> steering_vector(const ArrayGeometry& geom,
-                                     const Direction& dir, double omega,
-                                     const ChannelMask& mask,
-                                     units::MetersPerSecond speed_of_sound) {
-  return steering_vector(geom.subarray(mask), dir, omega, speed_of_sound);
-}
-
-std::vector<Complex> steering_vector_hz(const ArrayGeometry& geom,
-                                        const Direction& dir, units::Hertz freq,
-                                        const ChannelMask& mask,
-                                        units::MetersPerSecond speed_of_sound) {
-  return steering_vector_hz(geom.subarray(mask), dir, freq, speed_of_sound);
-}
-
 }  // namespace echoimage::array

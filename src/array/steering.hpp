@@ -69,17 +69,4 @@ void steering_vector_into(const ArrayGeometry& geom, const Direction& dir,
                           double omega, units::MetersPerSecond speed_of_sound,
                           std::vector<Complex>& out);
 
-/// Masked steering vectors: the steering vector of the surviving subarray
-/// (entries only for active microphones, order preserved) — pairs with the
-/// masked covariance so MVDR runs on healthy channels alone. An empty mask
-/// is the full array.
-[[nodiscard]] std::vector<Complex> steering_vector(
-    const ArrayGeometry& geom, const Direction& dir, double omega,
-    const ChannelMask& mask,
-    units::MetersPerSecond speed_of_sound = kSpeedOfSoundMps);
-[[nodiscard]] std::vector<Complex> steering_vector_hz(
-    const ArrayGeometry& geom, const Direction& dir, units::Hertz freq,
-    const ChannelMask& mask,
-    units::MetersPerSecond speed_of_sound = kSpeedOfSoundMps);
-
 }  // namespace echoimage::array

@@ -10,7 +10,7 @@
 
 namespace echoimage::core {
 
-using echoimage::array::NarrowbandBeamformer;
+using echoimage::dsp::Complex;
 using echoimage::dsp::ComplexSignal;
 
 DistanceEstimator::DistanceEstimator(DistanceEstimatorConfig config,
@@ -35,20 +35,27 @@ MultiChannelSignal DistanceEstimator::bandpass(
   return out;
 }
 
-echoimage::array::CMatrix DistanceEstimator::noise_covariance(
-    const MultiChannelSignal& noise_only) const {
+std::vector<Complex> DistanceEstimator::look_weights(
+    const MultiChannelSignal& noise_only,
+    const echoimage::array::ChannelMask& active_mask) const {
   // The paper's rho_n from the separate noise-only capture when provided;
-  // spatially white otherwise. Full-size — the beamformer reduces it to
-  // the masked subarray.
+  // spatially white otherwise. Full-size — the solver reduces it to the
+  // masked subarray.
   const std::size_t mics = geometry_.num_mics();
-  return noise_only.num_channels() == mics && noise_only.length() > 0
-             ? echoimage::array::noise_covariance_of(bandpass(noise_only))
-             : echoimage::array::white_noise_covariance(mics);
+  const echoimage::array::WeightSolver solver(
+      geometry_,
+      noise_only.num_channels() == mics && noise_only.length() > 0
+          ? echoimage::array::noise_covariance_of(bandpass(noise_only))
+          : echoimage::array::white_noise_covariance(mics),
+      config_.chirp.center_frequency(), config_.speed_of_sound, active_mask);
+  std::vector<Complex> steering, weights;
+  solver.compute_weights(config_.steer, config_.mode == SteeringMode::kMvdr,
+                         steering, weights);
+  return weights;
 }
 
 Signal DistanceEstimator::beep_envelope(
-    const MultiChannelSignal& beep,
-    const echoimage::array::CMatrix& noise_cov,
+    const MultiChannelSignal& beep, const std::vector<Complex>& weights,
     const echoimage::array::ChannelMask& active_mask) const {
   const MultiChannelSignal filtered = bandpass(beep);
 
@@ -66,13 +73,18 @@ Signal DistanceEstimator::beep_envelope(
     }
     steered = echoimage::dsp::analytic_signal(filtered.channels[mic]);
   } else {
-    const NarrowbandBeamformer bf(filtered, config_.sample_rate,
-                                  config_.chirp.center_frequency(),
-                                  geometry_, noise_cov, config_.speed_of_sound,
-                                  active_mask);
-    steered = config_.mode == SteeringMode::kMvdr
-                  ? bf.steer(config_.steer)
-                  : bf.steer_das(config_.steer);
+    if (filtered.num_channels() != geometry_.num_mics())
+      throw std::invalid_argument("DistanceEstimator: channel/mic mismatch");
+    if (!filtered.is_rectangular())
+      throw std::invalid_argument(
+          "DistanceEstimator: ragged multichannel capture");
+    std::vector<ComplexSignal> analytic;
+    analytic.reserve(weights.size());
+    for (std::size_t c = 0; c < filtered.num_channels(); ++c)
+      if (active_mask.empty() || active_mask[c])
+        analytic.push_back(
+            echoimage::dsp::analytic_signal(filtered.channels[c]));
+    steered = echoimage::array::apply_weights(analytic, weights);
   }
 
   Signal env = echoimage::dsp::matched_filter_envelope(steered,
@@ -118,14 +130,16 @@ DistanceEstimate DistanceEstimator::estimate_impl(
     throw std::invalid_argument("DistanceEstimator: no beeps");
 
   DistanceEstimate out;
-  // The noise covariance belongs to the capture, not the beep: built once.
-  const echoimage::array::CMatrix noise_cov =
-      config_.mode == SteeringMode::kSingleMic ? echoimage::array::CMatrix{}
-                                               : noise_covariance(noise_only);
+  // The look direction is fixed and the noise belongs to the capture, not
+  // the beep: the weights are solved once.
+  const std::vector<Complex> weights =
+      config_.mode == SteeringMode::kSingleMic
+          ? std::vector<Complex>{}
+          : look_weights(noise_only, active_mask);
   // E(t) = (1/L) sum_l |E_l(t)|^2 (Eq. 10).
   Signal e;
   for (const MultiChannelSignal& beep : beeps) {
-    const Signal el = beep_envelope(beep, noise_cov, active_mask);
+    const Signal el = beep_envelope(beep, weights, active_mask);
     if (e.empty()) e.assign(el.size(), 0.0);
     for (std::size_t i = 0; i < std::min(e.size(), el.size()); ++i)
       e[i] += el[i] * el[i];

@@ -113,15 +113,18 @@ class DistanceEstimator {
   void attach_observability(std::shared_ptr<const obs::Observability> obs);
 
  private:
-  /// Full-array noise covariance of the band-passed `noise_only`, or the
-  /// spatially-white one when it is empty or does not match the array.
-  [[nodiscard]] echoimage::array::CMatrix noise_covariance(
-      const MultiChannelSignal& noise_only) const;
-  /// Per-beep correlation envelope E_l(t) of the steered signal, against
-  /// the capture's noise covariance (ignored in single-mic mode).
+  /// Weights of the active subarray toward the configured look direction
+  /// (MVDR or delay-and-sum), against the noise covariance of the
+  /// band-passed `noise_only`, or the spatially-white one when it is empty
+  /// or does not match the array.
+  [[nodiscard]] std::vector<echoimage::dsp::Complex> look_weights(
+      const MultiChannelSignal& noise_only,
+      const echoimage::array::ChannelMask& active_mask) const;
+  /// Per-beep correlation envelope E_l(t) of the signal steered by the
+  /// capture's `weights` (ignored in single-mic mode).
   [[nodiscard]] Signal beep_envelope(
       const MultiChannelSignal& beep,
-      const echoimage::array::CMatrix& noise_cov,
+      const std::vector<echoimage::dsp::Complex>& weights,
       const echoimage::array::ChannelMask& active_mask) const;
   [[nodiscard]] DistanceEstimate estimate_impl(
       const std::vector<MultiChannelSignal>& beeps,

@@ -17,7 +17,6 @@
 namespace echoimage::core {
 
 using echoimage::array::Direction;
-using echoimage::array::NarrowbandBeamformer;
 using echoimage::dsp::ComplexSignal;
 
 namespace {
@@ -92,9 +91,10 @@ void AcousticImager::attach_observability(
 }
 
 AcousticImager::GateTable::GateTable(const ImagingConfig& config,
-                                     double plane_distance_m,
+                                     units::Meters plane_distance,
                                      double tau_direct_s, double tau_echo_s)
     : pixel_gate(config.grid_size * config.grid_size) {
+  const double plane_distance_m = plane_distance.value();
   const double gate_extra = config.chirp.duration.value();  // echo smear
   const double speed = config.speed_of_sound.value();
   // Echoes from grid k: the compressed pulse peaks at the onset 2 Dk/c;
@@ -157,35 +157,37 @@ AcousticImager::CaptureContext AcousticImager::capture_context(
     throw std::invalid_argument("AcousticImager: plane distance must be > 0");
   EI_SPAN(obs::Observability::tracer_of(obs_.get()), "imaging.capture");
   CaptureContext context(
-      GateTable(config_, plane_distance.value(), tau_direct_s, tau_echo_s));
+      GateTable(config_, plane_distance, tau_direct_s, tau_echo_s));
   context.plane_distance_m_ = plane_distance.value();
   context.tau_direct_s_ = tau_direct_s;
   context.active_mask_ = active_mask;
 
-  // Noise path, band after band on the calling thread: each band's
-  // temporaries are a filtered copy of the whole noise capture, so running
-  // bands concurrently would multiply the peak memory for little time.
+  // Noise path and weight solvers, band after band on the calling thread:
+  // each band's temporaries are a filtered copy of the whole noise capture,
+  // so running bands concurrently would multiply the peak memory for
+  // little time.
   const std::size_t mics = geometry_.num_mics();
   const bool have_noise =
       noise_only.num_channels() == mics && noise_only.length() > 0;
   MultiChannelSignal noise_f;
   if (have_noise)
     noise_f.channels = bandpass_filter_.filtfilt_multi(noise_only.channels);
-  context.covariances_.reserve(config_.num_subbands);
+  context.solvers_.reserve(config_.num_subbands);
   for (std::size_t band = 0; band < config_.num_subbands; ++band) {
+    echoimage::array::CMatrix covariance;
     if (!have_noise) {
-      context.covariances_.push_back(
-          echoimage::array::white_noise_covariance(mics));
+      covariance = echoimage::array::white_noise_covariance(mics);
     } else if (config_.num_subbands > 1) {
       MultiChannelSignal band_noise;
       band_noise.channels =
           subband_filters_[band].filtfilt_multi(noise_f.channels);
-      context.covariances_.push_back(
-          echoimage::array::noise_covariance_of(band_noise));
+      covariance = echoimage::array::noise_covariance_of(band_noise);
     } else {
-      context.covariances_.push_back(
-          echoimage::array::noise_covariance_of(noise_f));
+      covariance = echoimage::array::noise_covariance_of(noise_f);
     }
+    context.solvers_.emplace_back(geometry_, covariance,
+                                  units::Hertz{subband_centers_[band]},
+                                  config_.speed_of_sound, active_mask);
   }
   if (config_.pulse_compression) {
     context.fft_length_ = fft_length_for(beep_length);
@@ -228,7 +230,6 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
   const std::size_t grid = config_.grid_size;
   const GateTable& gates = context.gates_;
   const std::size_t num_gates = gates.gates.size();
-  const echoimage::array::ChannelMask& mask = context.active_mask_;
   const double mix = std::clamp(config_.incoherent_mix, 0.0, 1.0);
   for (const MultiChannelSignal& beep : beeps) {
     if (!beep.is_rectangular())
@@ -275,20 +276,24 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
                                                beep_spans[b]->handle());
   }
 
-  // Region 1, per (beep, band, channel): subband filter, analytic signal
-  // and pulse compression of one channel, trimmed to the gate window.
-  // Matched filtering commutes with the linear beamformer, so compressing
-  // per channel once is equivalent to compressing every steered output.
-  // Channels the mask drops stay empty; the beamformer never reads them.
+  // Region 1, per (beep, band, active channel): subband filter, analytic
+  // signal and pulse compression of one channel, trimmed to the gate
+  // window. Matched filtering commutes with the linear beamformer, so
+  // compressing per channel once is equivalent to compressing every
+  // steered output. Channels the mask drops get no window at all.
+  const echoimage::array::ChannelMask& mask = context.active_mask_;
+  std::vector<std::size_t> active;
+  for (std::size_t c = 0; c < mics; ++c)
+    if (mask.empty() || mask[c]) active.push_back(c);
   std::vector<std::vector<ComplexSignal>> windows(
-      num_beeps * num_bands, std::vector<ComplexSignal>(mics));
+      num_beeps * num_bands, std::vector<ComplexSignal>(active.size()));
   echoimage::runtime::parallel_for(
-      pool_.get(), num_beeps * num_bands * mics,
+      pool_.get(), num_beeps * num_bands * active.size(),
       [&](std::size_t task, std::size_t) {
-        const std::size_t slot = task / mics;
-        const std::size_t c = task % mics;
+        const std::size_t slot = task / active.size();
+        const std::size_t i = task % active.size();
+        const std::size_t c = active[i];
         const std::size_t band = slot % num_bands;
-        if (c < mask.size() && !mask[c]) return;
         EI_SPAN(tracer, "imaging.channel", c, band_spans[slot]->handle());
         const BeepFront& front = fronts[slot / num_bands];
         const echoimage::dsp::Signal& x = front.filtered.channels[c];
@@ -299,50 +304,42 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
         if (config_.pulse_compression)
           a = echoimage::dsp::matched_filter_complex(a,
                                                      (*front.spectra)[band]);
-        windows[slot][c].assign(
+        windows[slot][i].assign(
             a.begin() + static_cast<std::ptrdiff_t>(front.first),
             a.begin() + static_cast<std::ptrdiff_t>(front.last));
       });
   for (BeepFront& front : fronts) front.filtered = MultiChannelSignal{};
 
-  // Region 2, per (beep, band): the beamformer over the windows, then per
-  // distinct gate the direction-free incoherent energy and the gate
-  // covariance R_g, which is all the sweep needs of the beep. Weights
-  // depend on the band but not on the beep, so the first beep's
-  // beamformer stays as its band's weight engine; every other beamformer,
-  // windows included, dies with its task.
+  // Region 2, per (beep, band): per distinct gate, the direction-free
+  // incoherent energy and the gate covariance R_g of the slot's windows,
+  // which is all the sweep needs of the beep. Each task frees its windows
+  // when its terms are done.
   struct GateTerms {
     std::vector<double> incoherent;                     ///< per gate
     std::vector<echoimage::array::CMatrix> covariance;  ///< per gate
   };
   std::vector<GateTerms> terms(num_beeps * num_bands);
-  std::vector<std::optional<NarrowbandBeamformer>> engines(num_bands);
   echoimage::runtime::parallel_for(
       pool_.get(), num_beeps * num_bands, [&](std::size_t slot, std::size_t) {
-        const std::size_t band = slot % num_bands;
-        EI_SPAN(tracer, "imaging.beamformer", band,
+        EI_SPAN(tracer, "imaging.beamformer", slot % num_bands,
                 band_spans[slot]->handle());
-        NarrowbandBeamformer bf(
-            std::move(windows[slot]), config_.sample_rate,
-            units::Hertz{subband_centers_[band]}, geometry_,
-            context.covariances_[band], config_.speed_of_sound, mask);
+        const std::vector<ComplexSignal>& x = windows[slot];
         const std::size_t first = fronts[slot / num_bands].first;
         GateTerms& t = terms[slot];
         if (mix > 0.0) {
           t.incoherent.resize(num_gates);
           for (std::size_t g = 0; g < num_gates; ++g)
-            t.incoherent[g] = bf.incoherent_energy(gates.gates[g].first - first,
-                                                   gates.gates[g].second);
+            t.incoherent[g] = echoimage::array::incoherent_energy(
+                x, gates.gates[g].first - first, gates.gates[g].second);
         }
         if (mix < 1.0) {
           t.covariance.reserve(num_gates);
           for (std::size_t g = 0; g < num_gates; ++g)
-            t.covariance.push_back(bf.gate_covariance(
-                gates.gates[g].first - first, gates.gates[g].second));
+            t.covariance.push_back(echoimage::array::gate_covariance(
+                x, gates.gates[g].first - first, gates.gates[g].second));
         }
-        if (slot < num_bands) engines[band].emplace(std::move(bf));
+        windows[slot] = {};
       });
-  windows.clear();
   band_spans.clear();
   beep_spans.clear();
 
@@ -377,8 +374,8 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
                   grid_center(config_, row, col, context.plane_distance_m_));
             for (std::size_t band = 0; band < num_bands; ++band) {
               if (mix < 1.0)
-                engines[band]->compute_weights(dir, config_.use_mvdr,
-                                               s.steering, s.weights);
+                context.solvers_[band].compute_weights(
+                    dir, config_.use_mvdr, s.steering, s.weights);
               for (std::size_t b = 0; b < num_beeps; ++b) {
                 const GateTerms& t = terms[b * num_bands + band];
                 double e = 0.0;
@@ -409,11 +406,6 @@ std::vector<AcousticImage> AcousticImager::construct_capture(
   return images;
 }
 
-std::vector<Matrix2D> AcousticImager::construct_bands(
-    const MultiChannelSignal& beep, const CaptureContext& context) const {
-  return std::move(construct_capture({&beep, 1}, context).front().bands);
-}
-
 Matrix2D AcousticImager::construct(
     const MultiChannelSignal& beep, units::Meters plane_distance,
     double tau_direct_s, const MultiChannelSignal& noise_only,
@@ -438,9 +430,13 @@ std::vector<Matrix2D> AcousticImager::construct_bands(
     const MultiChannelSignal& beep, units::Meters plane_distance,
     double tau_direct_s, const MultiChannelSignal& noise_only,
     double tau_echo_s, const echoimage::array::ChannelMask& active_mask) const {
-  return construct_bands(
-      beep, capture_context(plane_distance, beep.length(), tau_direct_s,
-                            noise_only, tau_echo_s, active_mask));
+  return std::move(
+      construct_capture({&beep, 1},
+                        capture_context(plane_distance, beep.length(),
+                                        tau_direct_s, noise_only, tau_echo_s,
+                                        active_mask))
+          .front()
+          .bands);
 }
 
 }  // namespace echoimage::core

@@ -10,12 +10,14 @@
 //
 // That gated energy sum_{t in g} |w^H x_t|^2 equals w^H R_g w, where the
 // gate covariance R_g = sum_{t in g} x_t x_t^H is one M x M matrix shared
-// by every pixel whose gate is g. The imager therefore images all beeps of
-// a capture in one pass: R_g once per (beep, band, distinct gate), each
-// pixel's direction once per capture and its weights once per band, then
-// w^H R_g w per beep. A beep's image depends only on that beep and the
-// capture context, so the one-beep calls reproduce every beep of a pass
-// bit for bit.
+// by every pixel whose gate is g. Weights and data are kept apart: the
+// capture context holds one array::WeightSolver per band, and a beep
+// contributes only its gate statistics. The imager therefore images all
+// beeps of a capture in one pass: R_g once per (beep, band, distinct
+// gate), each pixel's direction once per capture and its weights once per
+// band, then w^H R_g w per beep. A beep's image depends only on that beep
+// and the capture context, so the one-beep calls reproduce every beep of a
+// pass bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -139,14 +141,14 @@ class AcousticImager {
   void attach_observability(std::shared_ptr<const obs::Observability> obs);
 
   /// What every beep of one capture shares, built once on the calling
-  /// thread: each band's noise covariance (band-pass, subband filter,
-  /// covariance of `noise_only`), each band's matched-filter template
-  /// spectrum at the FFT length of a `beep_length`-sample beep, and the
-  /// gate table of the plane at `plane_distance` for the given time
-  /// anchors. `tau_direct_s`, `noise_only`, `tau_echo_s` and `active_mask`
-  /// mean what they mean for `construct`. The context is immutable, so any
-  /// number of `construct_capture` and `construct_bands(beep, context)`
-  /// calls may share it.
+  /// thread: each band's weight solver (band-pass, subband filter and
+  /// covariance of `noise_only`, reduced to `active_mask` and inverted),
+  /// each band's matched-filter template spectrum at the FFT length of a
+  /// `beep_length`-sample beep, and the gate table of the plane at
+  /// `plane_distance` for the given time anchors. `tau_direct_s`,
+  /// `noise_only`, `tau_echo_s` and `active_mask` mean what they mean for
+  /// `construct`. The context is immutable, so any number of
+  /// `construct_capture` calls may share it.
   [[nodiscard]] CaptureContext capture_context(
       units::Meters plane_distance, std::size_t beep_length,
       double tau_direct_s = 0.0, const MultiChannelSignal& noise_only = {},
@@ -156,7 +158,7 @@ class AcousticImager {
   /// Per-subband images of every beep of the context's capture, in one
   /// imaging pass over the pool (one image per beep, in beep order). Each
   /// beep's image depends only on that beep and the context: it is
-  /// bit-identical to `construct_bands(beep, context)` and to
+  /// bit-identical to a one-beep pass on the same context and to
   /// `construct_bands(beep, plane_distance, ...)` with the arguments the
   /// context was built from. A beep whose length differs from the
   /// context's `beep_length` recomputes its template spectra. No beeps,
@@ -164,11 +166,6 @@ class AcousticImager {
   [[nodiscard]] std::vector<AcousticImage> construct_capture(
       std::span<const MultiChannelSignal> beeps,
       const CaptureContext& context) const;
-
-  /// Per-subband images of one beep of the context's capture: a one-beep
-  /// `construct_capture`.
-  [[nodiscard]] std::vector<Matrix2D> construct_bands(
-      const MultiChannelSignal& beep, const CaptureContext& context) const;
 
   /// Construct the acoustic image AI_l from one beep capture. `tau_direct_s`
   /// anchors the time axis (emission time = direct-path arrival minus the
@@ -235,7 +232,7 @@ class AcousticImager {
 // per distinct gate, on exactly the (first, count) window the pixel would
 // have passed.
 struct AcousticImager::GateTable {
-  GateTable(const ImagingConfig& config, double plane_distance_m,
+  GateTable(const ImagingConfig& config, units::Meters plane_distance,
             double tau_direct_s, double tau_echo_s);
 
   std::vector<std::pair<std::size_t, std::size_t>> gates;  ///< (first, count)
@@ -254,7 +251,7 @@ class AcousticImager::CaptureContext {
   double plane_distance_m_ = 0.0;
   double tau_direct_s_ = 0.0;
   echoimage::array::ChannelMask active_mask_;
-  std::vector<echoimage::array::CMatrix> covariances_;  ///< per band
+  std::vector<echoimage::array::WeightSolver> solvers_;  ///< per band
   /// Matched-filter FFT length of a `beep_length` beep, and each band's
   /// template spectrum at it (empty without pulse compression).
   std::size_t fft_length_ = 0;

@@ -56,8 +56,8 @@ std::string SystemConfig::describe() const {
      << "speed of sound: " << speed_of_sound.value() << " m/s\n"
      << "threads: " << num_threads << (num_threads == 0 ? " (auto)" : "")
      << "\n"
-     << "simd: " << simd_isa << " (active "
-     << echoimage::simd::isa_name(echoimage::simd::active_isa()) << ")\n"
+     << "simd: " << echoimage::simd::isa_name(echoimage::simd::active_isa())
+     << "\n"
      << "chirp: " << chirp.f_start.value() << "-" << chirp.f_end.value()
      << " Hz, " << chirp.duration.value() * 1000.0 << " ms\n"
      << "band-pass: " << distance.bandpass_low_hz << "-"
@@ -92,12 +92,6 @@ EchoImagePipeline::EchoImagePipeline(SystemConfig config,
                                      echoimage::array::ArrayGeometry geometry)
     : config_([&] {
         config.harmonize();
-        // Forcing a lane is process-wide (the kernel table is a global
-        // dispatch); "auto" leaves the ambient selection untouched so a
-        // test's ScopedIsa or ECHOIMAGE_SIMD stays in charge.
-        if (config.simd_isa != "auto")
-          echoimage::simd::set_isa_override(
-              echoimage::simd::parse_isa(config.simd_isa));
         return config;
       }()),
       geometry_(geometry),

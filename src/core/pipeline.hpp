@@ -55,13 +55,6 @@ struct SystemConfig {
   /// every instrumentation site in the pipeline reduces to a dead branch,
   /// so golden images stay bit-identical and throughput is unchanged.
   obs::ObservabilityConfig observability{};
-  /// SIMD lane for the DSP kernels: "auto" (best supported), or one of
-  /// "scalar" / "sse2" / "avx2" / "neon" to force a lane (testing and
-  /// triage; must be supported on the machine). Applied process-wide when
-  /// the pipeline is constructed. Every lane produces bit-identical
-  /// results — this knob changes speed, never pixels (see DESIGN.md,
-  /// "SIMD model").
-  std::string simd_isa = "auto";
 
   /// Propagate the shared fields (sample rate, chirp, band) into the
   /// sub-configs so callers only set them once.

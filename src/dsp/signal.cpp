@@ -19,8 +19,6 @@ double energy(std::span<const Sample> x) {
   return e;
 }
 
-double l2_norm(std::span<const Sample> x) { return std::sqrt(energy(x)); }
-
 double rms(std::span<const Sample> x) {
   if (x.empty()) return 0.0;
   return std::sqrt(energy(x) / static_cast<double>(x.size()));
@@ -72,38 +70,6 @@ void scale_in_place(Signal& x, double g) {
 void add_in_place(Signal& a, std::span<const Sample> b) {
   const std::size_t n = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < n; ++i) a[i] += b[i];
-}
-
-void mix_at(Signal& a, std::span<const Sample> b, std::size_t offset,
-            double g) {
-  if (offset >= a.size()) return;
-  const std::size_t n = std::min(a.size() - offset, b.size());
-  for (std::size_t i = 0; i < n; ++i) a[offset + i] += g * b[i];
-}
-
-Signal segment(std::span<const Sample> x, std::size_t first,
-               std::size_t count) {
-  Signal out(count, 0.0);
-  if (first >= x.size()) return out;
-  const std::size_t n = std::min(count, x.size() - first);
-  std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(first), n, out.begin());
-  return out;
-}
-
-namespace {
-constexpr double kDbFloor = -300.0;
-}  // namespace
-
-double amplitude_to_db(double ratio) {
-  if (ratio <= 0.0) return kDbFloor;
-  return 20.0 * std::log10(ratio);
-}
-
-double db_to_amplitude(double db) { return std::pow(10.0, db / 20.0); }
-
-double power_to_db(double ratio) {
-  if (ratio <= 0.0) return kDbFloor;
-  return 10.0 * std::log10(ratio);
 }
 
 std::size_t seconds_to_samples(double seconds, double sample_rate) {

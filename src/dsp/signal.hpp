@@ -34,9 +34,6 @@ struct MultiChannelSignal {
 /// Sum of squared samples.
 [[nodiscard]] double energy(std::span<const Sample> x);
 
-/// Euclidean (L2) norm: sqrt(energy).
-[[nodiscard]] double l2_norm(std::span<const Sample> x);
-
 /// Root-mean-square amplitude; 0 for an empty signal.
 [[nodiscard]] double rms(std::span<const Sample> x);
 
@@ -60,27 +57,6 @@ void scale_in_place(Signal& x, double g);
 
 /// a += b element-wise; b may be shorter than a (the tail is untouched).
 void add_in_place(Signal& a, std::span<const Sample> b);
-
-/// a += g * b element-wise starting at `offset` samples into a. Samples of b
-/// that would land past the end of a are dropped (useful for mixing echoes
-/// into a fixed-length capture buffer).
-void mix_at(Signal& a, std::span<const Sample> b, std::size_t offset,
-            double g = 1.0);
-
-/// Copy of x[first, first+count); out-of-range samples are zero-filled so the
-/// result always has exactly `count` samples.
-[[nodiscard]] Signal segment(std::span<const Sample> x, std::size_t first,
-                             std::size_t count);
-
-/// Convert a linear amplitude ratio to decibels (20 log10). Returns a large
-/// negative floor (-300 dB) for non-positive ratios.
-[[nodiscard]] double amplitude_to_db(double ratio);
-
-/// Convert decibels to a linear amplitude ratio (10^(db/20)).
-[[nodiscard]] double db_to_amplitude(double db);
-
-/// Convert a power ratio to decibels (10 log10), with the same -300 dB floor.
-[[nodiscard]] double power_to_db(double ratio);
 
 /// Seconds to a whole number of samples (rounded to nearest).
 [[nodiscard]] std::size_t seconds_to_samples(double seconds,

@@ -88,24 +88,14 @@ ExperimentResult run_authentication_experiment(
                                  std::size_t beeps,
                                  bool augment) -> BatchOutcome {
     const CaptureBatch batch = collector.collect(user, cond, beeps);
-    ProcessedBeeps processed =
+    const ProcessedBeeps processed =
         pipeline.process(batch.beeps, batch.noise_only);
     if (!processed.distance.valid) return {};
     BatchOutcome out;
     out.valid_estimate = true;
-    double plane_distance = processed.distance.user_distance_m;
+    const double plane_distance = processed.distance.user_distance_m;
     out.abs_distance_error_m =
         std::abs(plane_distance - batch.true_distance_m);
-    if (config.oracle_plane) {
-      plane_distance = batch.true_distance_m;
-      const echoimage::core::AcousticImager& imager = pipeline.imager();
-      processed.images = imager.construct_capture(
-          batch.beeps,
-          imager.capture_context(echoimage::units::Meters{plane_distance},
-                                 batch.beeps.front().length(),
-                                 processed.distance.tau_direct_s,
-                                 batch.noise_only));
-    }
     out.features =
         pipeline.features_batch(processed.images, plane_distance, augment);
     out.detected = true;

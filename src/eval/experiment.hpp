@@ -27,9 +27,6 @@ struct ExperimentConfig {
   /// Every test condition is applied to every user (registered + spoofer).
   std::vector<CollectionConditions> test_conditions{CollectionConditions{}};
   bool verbose = false;  ///< progress dots on stderr
-  /// Diagnostic: image at the ground-truth distance instead of the
-  /// estimate, isolating distance-estimation error from feature quality.
-  bool oracle_plane = false;
 };
 
 struct ExperimentResult {

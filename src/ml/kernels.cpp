@@ -42,25 +42,6 @@ std::vector<double> gram_matrix(const KernelParams& params,
   return k;
 }
 
-double rbf_gamma_scale(const std::vector<std::vector<double>>& x) {
-  if (x.empty() || x.front().empty()) return 1.0;
-  const std::size_t n = x.size();
-  const std::size_t d = x.front().size();
-  double total_var = 0.0;
-  for (std::size_t j = 0; j < d; ++j) {
-    double s = 0.0, s2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      s += x[i][j];
-      s2 += x[i][j] * x[i][j];
-    }
-    const double m = s / static_cast<double>(n);
-    total_var += std::max(0.0, s2 / static_cast<double>(n) - m * m);
-  }
-  const double mean_var = total_var / static_cast<double>(d);
-  if (mean_var <= 1e-12) return 1.0;
-  return 1.0 / (static_cast<double>(d) * mean_var);
-}
-
 double rbf_gamma_median(const std::vector<std::vector<double>>& x,
                         std::size_t max_pairs) {
   const std::size_t n = x.size();

@@ -22,10 +22,6 @@ struct KernelParams {
 [[nodiscard]] std::vector<double> gram_matrix(
     const KernelParams& params, const std::vector<std::vector<double>>& x);
 
-/// sklearn-style "scale" heuristic: gamma = 1 / (dim * mean feature
-/// variance), with a floor for degenerate (constant) data.
-[[nodiscard]] double rbf_gamma_scale(const std::vector<std::vector<double>>& x);
-
 /// Median heuristic: gamma = 1 / median(||x_i - x_j||^2) over (a sample of)
 /// training pairs. Robust when feature variances are heterogeneous — the
 /// typical pair then sits at k ~ exp(-1) instead of collapsing the Gram

@@ -41,19 +41,4 @@ Matrix2D bilinear_resize(const Matrix2D& in, std::size_t rows,
   return out;
 }
 
-Matrix2D min_max_normalize(const Matrix2D& in) {
-  Matrix2D out = in;
-  if (in.size() == 0) return out;
-  const auto [mn_it, mx_it] =
-      std::minmax_element(in.data().begin(), in.data().end());
-  const double mn = *mn_it, mx = *mx_it;
-  const double range = mx - mn;
-  if (range <= 0.0) {
-    std::fill(out.data().begin(), out.data().end(), 0.0);
-    return out;
-  }
-  for (double& v : out.data()) v = (v - mn) / range;
-  return out;
-}
-
 }  // namespace echoimage::ml

@@ -65,7 +65,4 @@ class Tensor3 {
 [[nodiscard]] Matrix2D bilinear_resize(const Matrix2D& in, std::size_t rows,
                                        std::size_t cols);
 
-/// Min-max normalize a matrix into [0, 1] (constant images map to 0).
-[[nodiscard]] Matrix2D min_max_normalize(const Matrix2D& in);
-
 }  // namespace echoimage::ml

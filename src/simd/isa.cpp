@@ -11,9 +11,8 @@ namespace {
 
 // The forced lane's table (null = no override). A plain global by design
 // (src/simd may not reach for std::atomic — echolint R2 — and does not
-// need to): overrides are applied at startup or from single-threaded test
-// sections, and the pool's task handoff publishes the write before any
-// worker reads it.
+// need to): ScopedIsa is created from single-threaded sections, and the
+// pool's task handoff publishes the write before any worker reads it.
 const KernelTable* g_override = nullptr;
 
 const KernelTable* table_or_null(Isa isa) {
@@ -116,20 +115,14 @@ Isa active_isa() {
   return g_override != nullptr ? g_override->isa : ambient_isa();
 }
 
-void set_isa_override(Isa isa) {
+ScopedIsa::ScopedIsa(Isa isa)
+    : had_override_(g_override != nullptr),
+      previous_(had_override_ ? g_override->isa : Isa::kScalar) {
   if (!isa_supported(isa))
     throw std::invalid_argument(std::string("cannot force SIMD lane '") +
                                 isa_name(isa) +
                                 "': not supported on this machine/build");
   g_override = table_or_null(isa);
-}
-
-void clear_isa_override() { g_override = nullptr; }
-
-ScopedIsa::ScopedIsa(Isa isa)
-    : had_override_(g_override != nullptr),
-      previous_(had_override_ ? g_override->isa : Isa::kScalar) {
-  set_isa_override(isa);
 }
 
 ScopedIsa::~ScopedIsa() {

@@ -3,9 +3,10 @@
 // The kernel layer (kernels.hpp) ships one implementation table per
 // instruction set — scalar, SSE2, AVX2, NEON — compiled into per-ISA
 // translation units. One of them is selected at startup: the best lane the
-// CPU supports, unless the ECHOIMAGE_SIMD environment variable or an
-// explicit set_isa_override() narrows the choice (the testing hook the
-// differential harness uses to run every lane on one machine).
+// CPU supports, unless the ECHOIMAGE_SIMD environment variable or a
+// ScopedIsa narrows the choice (the testing hook the differential harness
+// and the lane sweeps use to run every lane on one machine). Those two are
+// the only ways to force a lane.
 //
 // Bit-transparency contract. Every f64 kernel produces bit-identical
 // results on every ISA lane: implementations use only vertical (element-
@@ -16,10 +17,9 @@
 //
 // Thread safety: the ambient lane (ECHOIMAGE_SIMD, else the best lane) is
 // resolved once, in a function-local static, so concurrent first callers
-// are safe. The override is a plain global written by set_isa_override();
-// apply it at startup or from a single-threaded test section before
-// parallel work is launched (the pool's task handoff publishes the write
-// to the workers).
+// are safe. A ScopedIsa writes a plain global: create it from a
+// single-threaded section before parallel work is launched (the pool's
+// task handoff publishes the write to the workers).
 #pragma once
 
 #include <string>
@@ -55,21 +55,13 @@ enum class Isa {
 [[nodiscard]] Isa best_isa();
 
 /// The lane the kernel table currently dispatches to. Resolution order:
-/// explicit set_isa_override() > ECHOIMAGE_SIMD env var (read once, at
+/// the innermost live ScopedIsa > ECHOIMAGE_SIMD env var (read once, at
 /// first use) > best_isa().
 [[nodiscard]] Isa active_isa();
 
-/// Force a lane (must be supported; throws std::invalid_argument
-/// otherwise). Passing best_isa() or the env-selected lane is fine; use
-/// clear_isa_override() to return to automatic selection.
-void set_isa_override(Isa isa);
-
-/// Drop any explicit override: back to the ambient lane (ECHOIMAGE_SIMD,
-/// else best_isa()).
-void clear_isa_override();
-
-/// RAII lane forcing for tests: forces `isa` on construction, restores the
-/// previous selection state on destruction.
+/// RAII lane forcing for tests and lane sweeps: forces `isa` on
+/// construction (it must be supported; throws std::invalid_argument
+/// otherwise), restores the previous selection state on destruction.
 class ScopedIsa {
  public:
   explicit ScopedIsa(Isa isa);

@@ -57,13 +57,6 @@ struct KernelTable {
   /// z1 = b1*in - a1*out + z2; z2 = b2*in - a2*out.
   void (*sos_section_f64)(double* x, std::size_t num_frames, std::size_t width,
                           const SosCoeffs& c, double* z1, double* z2);
-
-  /// Incoherent (phase-free) energy: sum over channels (outer, ascending)
-  /// of sum over t in [first, first+count) (inner, ascending) of |ch[m][t]|^2.
-  /// The caller divides by the channel count.
-  double (*incoherent_energy_f64)(const std::complex<double>* const* ch,
-                                  std::size_t m, std::size_t first,
-                                  std::size_t count);
 };
 
 /// Table for the active lane (see isa.hpp for the resolution order).

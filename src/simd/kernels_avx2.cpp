@@ -40,17 +40,6 @@ inline __m256d cmul_conj(__m256d a, __m256d b) {
   return _mm256_add_pd(t2, _mm256_xor_pd(t1, neg_odd4()));
 }
 
-/// Deinterleave four consecutive complexes starting at p (8 doubles) into
-/// re = [r0 r1 r2 r3], im = [i0 i1 i2 i3], preserving t order.
-inline void deinterleave4(const double* p, __m256d& re, __m256d& im) {
-  const __m256d a = _mm256_loadu_pd(p);      // r0 i0 r1 i1
-  const __m256d b = _mm256_loadu_pd(p + 4);  // r2 i2 r3 i3
-  const __m256d t0 = _mm256_permute2f128_pd(a, b, 0x20);  // r0 i0 r2 i2
-  const __m256d t1 = _mm256_permute2f128_pd(a, b, 0x31);  // r1 i1 r3 i3
-  re = _mm256_unpacklo_pd(t0, t1);  // r0 r1 r2 r3
-  im = _mm256_unpackhi_pd(t0, t1);  // i0 i1 i2 i3
-}
-
 void fft_stage_f64(double* x, const double* tw, std::size_t n,
                    std::size_t len) {
   const std::size_t half = len / 2;
@@ -137,30 +126,6 @@ void sos_section_f64(double* x, std::size_t num_frames, std::size_t width,
   }
 }
 
-double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
-                             std::size_t first, std::size_t count) {
-  double e = 0.0;
-  const std::size_t last = first + count;
-  for (std::size_t c = 0; c < m; ++c) {
-    const auto* pc = reinterpret_cast<const double*>(ch[c]);
-    std::size_t t = first;
-    for (; t + 4 <= last; t += 4) {
-      __m256d xr, xi;
-      deinterleave4(pc + 2 * t, xr, xi);
-      const __m256d nv =
-          _mm256_add_pd(_mm256_mul_pd(xr, xr), _mm256_mul_pd(xi, xi));
-      alignas(32) double lanes[4];
-      _mm256_store_pd(lanes, nv);
-      e += lanes[0];
-      e += lanes[1];
-      e += lanes[2];
-      e += lanes[3];
-    }
-    for (; t < last; ++t) e += std::norm(ch[c][t]);
-  }
-  return e;
-}
-
 const KernelTable kTable = {
     .isa = Isa::kAvx2,
     .fft_stage_f64 = &fft_stage_f64,
@@ -168,7 +133,6 @@ const KernelTable kTable = {
     .complex_scale_f64 = &complex_scale_f64,
     .scale_f64 = &scale_f64,
     .sos_section_f64 = &sos_section_f64,
-    .incoherent_energy_f64 = &incoherent_energy_f64,
 };
 
 }  // namespace

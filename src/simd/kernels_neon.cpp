@@ -119,25 +119,6 @@ void sos_section_f64(double* x, std::size_t num_frames, std::size_t width,
   }
 }
 
-double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
-                             std::size_t first, std::size_t count) {
-  double e = 0.0;
-  const std::size_t last = first + count;
-  for (std::size_t c = 0; c < m; ++c) {
-    const auto* pc = reinterpret_cast<const double*>(ch[c]);
-    std::size_t t = first;
-    for (; t + 2 <= last; t += 2) {
-      const float64x2x2_t xc = vld2q_f64(pc + 2 * t);
-      const float64x2_t nv = vaddq_f64(vmulq_f64(xc.val[0], xc.val[0]),
-                                       vmulq_f64(xc.val[1], xc.val[1]));
-      e += vgetq_lane_f64(nv, 0);
-      e += vgetq_lane_f64(nv, 1);
-    }
-    for (; t < last; ++t) e += std::norm(ch[c][t]);
-  }
-  return e;
-}
-
 const KernelTable kTable = {
     .isa = Isa::kNeon,
     .fft_stage_f64 = &fft_stage_f64,
@@ -145,7 +126,6 @@ const KernelTable kTable = {
     .complex_scale_f64 = &complex_scale_f64,
     .scale_f64 = &scale_f64,
     .sos_section_f64 = &sos_section_f64,
-    .incoherent_energy_f64 = &incoherent_energy_f64,
 };
 
 }  // namespace

@@ -2,10 +2,9 @@
 //
 // These loops ARE the kernel semantics: each one reproduces the historical
 // call-site loop (dsp/fft.cpp butterflies, dsp/biquad.cpp DF2T recurrence,
-// array/beamformer.cpp energy accumulators, ...) bit for bit, using the
-// same std::complex arithmetic the seed used. Every vector lane is tested
-// differentially against this file; when in doubt about association order,
-// this file wins.
+// ...) bit for bit, using the same std::complex arithmetic the seed used.
+// Every vector lane is tested differentially against this file; when in
+// doubt about association order, this file wins.
 #include <complex>
 #include <cstddef>
 
@@ -57,15 +56,6 @@ void sos_section_f64(double* x, std::size_t num_frames, std::size_t width,
   }
 }
 
-double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
-                             std::size_t first, std::size_t count) {
-  double e = 0.0;
-  for (std::size_t c = 0; c < m; ++c)
-    for (std::size_t t = first; t < first + count; ++t)
-      e += std::norm(ch[c][t]);
-  return e;
-}
-
 const KernelTable kTable = {
     .isa = Isa::kScalar,
     .fft_stage_f64 = &fft_stage_f64,
@@ -73,7 +63,6 @@ const KernelTable kTable = {
     .complex_scale_f64 = &complex_scale_f64,
     .scale_f64 = &scale_f64,
     .sos_section_f64 = &sos_section_f64,
-    .incoherent_energy_f64 = &incoherent_energy_f64,
 };
 
 }  // namespace

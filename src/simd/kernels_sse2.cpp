@@ -114,30 +114,6 @@ void sos_section_f64(double* x, std::size_t num_frames, std::size_t width,
   }
 }
 
-double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
-                             std::size_t first, std::size_t count) {
-  double e = 0.0;
-  const std::size_t last = first + count;
-  for (std::size_t c = 0; c < m; ++c) {
-    const auto* pc = reinterpret_cast<const double*>(ch[c]);
-    std::size_t t = first;
-    for (; t + 2 <= last; t += 2) {
-      const __m128d c0 = _mm_loadu_pd(pc + 2 * t);
-      const __m128d c1 = _mm_loadu_pd(pc + 2 * t + 2);
-      const __m128d xr = _mm_unpacklo_pd(c0, c1);
-      const __m128d xi = _mm_unpackhi_pd(c0, c1);
-      const __m128d nv =
-          _mm_add_pd(_mm_mul_pd(xr, xr), _mm_mul_pd(xi, xi));
-      alignas(16) double lanes[2];
-      _mm_store_pd(lanes, nv);
-      e += lanes[0];
-      e += lanes[1];
-    }
-    for (; t < last; ++t) e += std::norm(ch[c][t]);
-  }
-  return e;
-}
-
 const KernelTable kTable = {
     .isa = Isa::kSse2,
     .fft_stage_f64 = &fft_stage_f64,
@@ -145,7 +121,6 @@ const KernelTable kTable = {
     .complex_scale_f64 = &complex_scale_f64,
     .scale_f64 = &scale_f64,
     .sos_section_f64 = &sos_section_f64,
-    .incoherent_energy_f64 = &incoherent_energy_f64,
 };
 
 }  // namespace

@@ -48,20 +48,28 @@ MultiChannelSignal plane_wave_tone(const ArrayGeometry& g, const Direction& dir,
   return x;
 }
 
-// A beamformer over silent channels: enough to solve MVDR weights (paper
-// Eq. 8) against `noise_cov`, which the engine loads by 1e-3.
-NarrowbandBeamformer weight_solver(const ArrayGeometry& g, CMatrix noise_cov) {
-  return NarrowbandBeamformer(
-      std::vector<ComplexSignal>(g.num_mics(), ComplexSignal(8)), kFs, kF0, g,
-      std::move(noise_cov));
+// Weights toward `dir` from a solver: MVDR (paper Eq. 8, against the
+// solver's covariance loaded by 1e-3) or delay-and-sum.
+std::vector<Complex> weights(const WeightSolver& solver, const Direction& dir,
+                             bool mvdr = true) {
+  std::vector<Complex> steering, w;
+  solver.compute_weights(dir, mvdr, steering, w);
+  return w;
+}
+
+// Analytic signal of every channel of a real capture.
+std::vector<ComplexSignal> analytic_channels(const MultiChannelSignal& x) {
+  std::vector<ComplexSignal> out;
+  for (const Signal& c : x.channels)
+    out.push_back(echoimage::dsp::analytic_signal(c));
+  return out;
 }
 
 TEST(MvdrWeights, DistortionlessConstraint) {
   const ArrayGeometry g = make_respeaker_array();
   const Direction d{kPi / 2.0, 1.2};
   const auto a = steering_vector_hz(g, d, kF0);
-  const auto w =
-      weight_solver(g, white_noise_covariance(6)).weights_mvdr(d);
+  const auto w = weights(WeightSolver(g, white_noise_covariance(6), kF0), d);
   // w^H a = 1 is MVDR's defining constraint (Eq. 8 denominator).
   const Complex resp = echoimage::linalg::hdot(w, a);
   EXPECT_NEAR(std::abs(resp - Complex(1.0, 0.0)), 0.0, 1e-9);
@@ -69,10 +77,10 @@ TEST(MvdrWeights, DistortionlessConstraint) {
 
 TEST(MvdrWeights, WhiteNoiseReducesToDelayAndSum) {
   const ArrayGeometry g = make_respeaker_array();
-  const NarrowbandBeamformer bf = weight_solver(g, white_noise_covariance(6));
+  const WeightSolver solver(g, white_noise_covariance(6), kF0);
   const Direction d{0.3, 1.0};
-  const auto w_mvdr = bf.weights_mvdr(d);
-  const auto w_das = bf.weights_das(d);
+  const auto w_mvdr = weights(solver, d);
+  const auto w_das = weights(solver, d, false);
   for (std::size_t m = 0; m < 6; ++m)
     EXPECT_NEAR(std::abs(w_mvdr[m] - w_das[m]), 0.0, 1e-9);
 }
@@ -86,7 +94,7 @@ TEST(MvdrWeights, NullsDirectionalInterference) {
   // Noise covariance dominated by the interferer + small white floor.
   CMatrix r = echoimage::linalg::outer(a_int, a_int);
   for (std::size_t i = 0; i < 6; ++i) r(i, i) += Complex(0.01, 0.0);
-  const auto w = weight_solver(g, r).weights_mvdr(look);
+  const auto w = weights(WeightSolver(g, r, kF0), look);
   const double gain_look =
       std::abs(echoimage::linalg::hdot(w, a_look));
   const double gain_int = std::abs(echoimage::linalg::hdot(w, a_int));
@@ -95,9 +103,9 @@ TEST(MvdrWeights, NullsDirectionalInterference) {
 }
 
 TEST(MvdrWeights, ShapeMismatchThrows) {
-  EXPECT_THROW((void)weight_solver(make_respeaker_array(),
-                                   white_noise_covariance(4)),
-               std::invalid_argument);
+  EXPECT_THROW(
+      WeightSolver(make_respeaker_array(), white_noise_covariance(4), kF0),
+      std::invalid_argument);
 }
 
 TEST(DasWeights, AverageOfSteeringPhases) {
@@ -122,35 +130,34 @@ TEST(ApplyWeights, SumsWeightedChannels) {
   EXPECT_NEAR(std::abs(y[0] - Complex(1.0, 1.0)), 0.0, 1e-12);
 }
 
-TEST(NarrowbandBeamformer, SteerRecoversToneFromLookDirection) {
+TEST(Beamformer, SteerRecoversToneFromLookDirection) {
   const ArrayGeometry g = make_respeaker_array();
   const Direction src{kPi / 2.0, kPi / 2.0};
   const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 1024);
-  const NarrowbandBeamformer bf(x, kFs, kF0, g,
-                                white_noise_covariance(g.num_mics()));
-  const ComplexSignal y = bf.steer(src);
+  const WeightSolver solver(g, white_noise_covariance(g.num_mics()), kF0);
+  const ComplexSignal y =
+      apply_weights(analytic_channels(x), weights(solver, src));
   // Steered output magnitude ~ tone amplitude 1.0 in steady state.
   double acc = 0.0;
   for (std::size_t t = 256; t < 768; ++t) acc += std::abs(y[t]);
   EXPECT_NEAR(acc / 512.0, 1.0, 0.05);
 }
 
-TEST(NarrowbandBeamformer, SteeredEnergyWindowed) {
+TEST(Beamformer, SteeredEnergyWindowed) {
   const ArrayGeometry g = make_respeaker_array();
   const Direction src{kPi / 2.0, kPi / 2.0};
-  const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 1024);
-  const NarrowbandBeamformer bf(x, kFs, kF0, g,
-                                white_noise_covariance(g.num_mics()));
-  const CMatrix r = bf.gate_covariance(256, 512);
-  const double e_full = gated_energy(r, bf.weights_mvdr(src));
+  const std::vector<ComplexSignal> x =
+      analytic_channels(plane_wave_tone(g, src, kF0, 1024));
+  const WeightSolver solver(g, white_noise_covariance(g.num_mics()), kF0);
+  const CMatrix r = gate_covariance(x, 256, 512);
+  const double e_full = gated_energy(r, weights(solver, src));
   // |analytic tone|^2 = 1 per sample.
   EXPECT_NEAR(e_full, 512.0, 30.0);
-  const double e_das = gated_energy(r, bf.weights_das(src));
+  const double e_das = gated_energy(r, weights(solver, src, false));
   EXPECT_NEAR(e_das, e_full, 40.0);
   // Out-of-range window is empty.
-  EXPECT_DOUBLE_EQ(gated_energy(bf.gate_covariance(5000, 10),
-                                bf.weights_mvdr(src)),
-                   0.0);
+  EXPECT_DOUBLE_EQ(
+      gated_energy(gate_covariance(x, 5000, 10), weights(solver, src)), 0.0);
 }
 
 // The per-sample sum the gate covariance replaces, kept here as the
@@ -168,7 +175,7 @@ double per_sample_energy(const std::vector<ComplexSignal>& x,
   return e;
 }
 
-TEST(NarrowbandBeamformer, GatedEnergyMatchesThePerSampleOracle) {
+TEST(Beamformer, GatedEnergyMatchesThePerSampleOracle) {
   // w^H R_g w against the per-sample sum, within 1e-12 * |w|^2 * tr(R_g),
   // on pulse-compressed and raw gates, gates clipped at or starting past
   // the window end, MVDR and delay-and-sum weights, full and degraded
@@ -201,19 +208,18 @@ TEST(NarrowbandBeamformer, GatedEnergyMatchesThePerSampleOracle) {
   double worst = 0.0;
   for (const std::vector<ComplexSignal>* chans : {&raw, &compressed}) {
     for (const ChannelMask& mask : {ChannelMask{}, degraded}) {
-      const NarrowbandBeamformer bf(*chans, kFs, kF0, g, noise_cov,
-                                    kSpeedOfSoundMps, mask);
-      const std::vector<ComplexSignal> active =
-          mask.empty() ? *chans : select_channels(*chans, mask);
+      const WeightSolver solver(g, noise_cov, kF0, kSpeedOfSoundMps, mask);
+      std::vector<ComplexSignal> active;
+      for (std::size_t c = 0; c < chans->size(); ++c)
+        if (mask.empty() || mask[c]) active.push_back((*chans)[c]);
       for (const auto& [first, count] : gates) {
-        const CMatrix r = bf.gate_covariance(first, count);
+        const CMatrix r = gate_covariance(active, first, count);
         ASSERT_EQ(r.rows(), active.size());
         double trace = 0.0;
         for (std::size_t i = 0; i < r.rows(); ++i) trace += r(i, i).real();
         for (const Direction& look : looks) {
           for (const bool mvdr : {true, false}) {
-            std::vector<Complex> steering, w;
-            bf.compute_weights(look, mvdr, steering, w);
+            const std::vector<Complex> w = weights(solver, look, mvdr);
             double w2 = 0.0;
             for (const Complex& v : w) w2 += std::norm(v);
             const double want = per_sample_energy(active, w, first, count);
@@ -237,18 +243,13 @@ TEST(NarrowbandBeamformer, GatedEnergyMatchesThePerSampleOracle) {
   RecordProperty("worst_relative_error", worst_text.str());
 }
 
-TEST(NarrowbandBeamformer, GateCovarianceIsHermitianAndSummedInOrder) {
+TEST(Beamformer, GateCovarianceIsHermitianAndSummedInOrder) {
   // R_g[i][j] = sum_t x_i(t) conj(x_j(t)) in ascending t for j >= i, its
   // lower triangle the conjugate mirror; bitwise.
   const ArrayGeometry g = make_respeaker_array();
-  const MultiChannelSignal x =
-      plane_wave_tone(g, Direction{0.4, 1.2}, kF0, 256, 0.2, 3);
-  std::vector<ComplexSignal> chans;
-  for (const Signal& c : x.channels)
-    chans.push_back(echoimage::dsp::analytic_signal(c));
-  const NarrowbandBeamformer bf(chans, kFs, kF0, g,
-                                white_noise_covariance(g.num_mics()));
-  const CMatrix r = bf.gate_covariance(40, 300);  // clipped at 256
+  const std::vector<ComplexSignal> chans = analytic_channels(
+      plane_wave_tone(g, Direction{0.4, 1.2}, kF0, 256, 0.2, 3));
+  const CMatrix r = gate_covariance(chans, 40, 300);  // clipped at 256
   for (std::size_t i = 0; i < 6; ++i) {
     for (std::size_t j = i; j < 6; ++j) {
       Complex acc(0.0, 0.0);
@@ -262,37 +263,45 @@ TEST(NarrowbandBeamformer, GateCovarianceIsHermitianAndSummedInOrder) {
                std::invalid_argument);
 }
 
-TEST(NarrowbandBeamformer, IncoherentEnergyIsDirectionFree) {
+TEST(Beamformer, IncoherentEnergyIsDirectionFree) {
   const ArrayGeometry g = make_respeaker_array();
-  const MultiChannelSignal x =
-      plane_wave_tone(g, Direction{1.0, 1.3}, kF0, 512);
-  const NarrowbandBeamformer bf(x, kFs, kF0, g,
-                                white_noise_covariance(g.num_mics()));
-  const double e = bf.incoherent_energy(128, 256);
+  const std::vector<ComplexSignal> x =
+      analytic_channels(plane_wave_tone(g, Direction{1.0, 1.3}, kF0, 512));
+  const double e = incoherent_energy(x, 128, 256);
   EXPECT_NEAR(e, 256.0, 20.0);  // mean per-mic |analytic|^2 = 1
+  // Bitwise: channels outer, samples inner, both ascending, then the mean;
+  // a gate past the end reads exactly zero.
+  double sum = 0.0;
+  for (const ComplexSignal& c : x)
+    for (std::size_t t = 128; t < 384; ++t) sum += std::norm(c[t]);
+  EXPECT_EQ(e, sum / 6.0);
+  EXPECT_EQ(incoherent_energy(x, 512, 10), 0.0);
 }
 
-TEST(NarrowbandBeamformer, RejectsBadInputs) {
+TEST(Beamformer, RejectsBadInputs) {
+  // The solver rejects a covariance or a mask whose size does not match
+  // the array, and a mask that leaves no channel; the gate statistics
+  // reject ragged or missing windows.
   const ArrayGeometry g = make_respeaker_array();
-  MultiChannelSignal wrong;
-  wrong.channels.resize(3, Signal(64, 0.0));
-  EXPECT_THROW(NarrowbandBeamformer(wrong, kFs, kF0, g,
-                                    white_noise_covariance(g.num_mics())),
+  const CMatrix white = white_noise_covariance(g.num_mics());
+  EXPECT_THROW(WeightSolver(g, white_noise_covariance(4), kF0),
                std::invalid_argument);
-  MultiChannelSignal ragged;
-  ragged.channels = {Signal(64), Signal(32), Signal(64),
-                     Signal(64), Signal(64), Signal(64)};
-  EXPECT_THROW(NarrowbandBeamformer(ragged, kFs, kF0, g,
-                                    white_noise_covariance(g.num_mics())),
+  EXPECT_THROW(WeightSolver(g, white, kF0, kSpeedOfSoundMps,
+                            ChannelMask(4, true)),
                std::invalid_argument);
-  EXPECT_THROW(
-      NarrowbandBeamformer(std::vector<ComplexSignal>(6, ComplexSignal(8)),
-                           kFs, kF0, g, white_noise_covariance(4)),
-      std::invalid_argument);
+  EXPECT_THROW(WeightSolver(g, white, kF0, kSpeedOfSoundMps,
+                            ChannelMask(g.num_mics(), false)),
+               std::invalid_argument);
+  const std::vector<ComplexSignal> ragged = {
+      ComplexSignal(64), ComplexSignal(32), ComplexSignal(64)};
+  EXPECT_THROW((void)gate_covariance(ragged, 0, 16), std::invalid_argument);
+  EXPECT_THROW((void)incoherent_energy(ragged, 0, 16), std::invalid_argument);
+  EXPECT_THROW((void)gate_covariance({}, 0, 16), std::invalid_argument);
+  EXPECT_THROW((void)incoherent_energy({}, 0, 16), std::invalid_argument);
 }
 
 
-TEST(NarrowbandBeamformer, PhysicallyRenderedEchoFavoursTrueDirection) {
+TEST(Beamformer, PhysicallyRenderedEchoFavoursTrueDirection) {
   // Ground truth from the acoustic renderer, not from synthetic phases: a
   // point reflector to the array's left must yield more steered energy when
   // looking left than when looking right.
@@ -315,13 +324,13 @@ TEST(NarrowbandBeamformer, PhysicallyRenderedEchoFavoursTrueDirection) {
     std::fill(c.begin(), c.begin() + 150, 0.0);
     echo.channels.push_back(std::move(c));
   }
-  const NarrowbandBeamformer bf(echo, kFs, kF0, make_respeaker_array(),
-                                white_noise_covariance(6));
+  const WeightSolver solver(make_respeaker_array(), white_noise_covariance(6),
+                            kF0);
   const Direction toward = direction_to_point(target);
   const Direction mirror{toward.theta + kPi, toward.phi};
-  const CMatrix r = bf.gate_covariance(0, echo.length());
-  const double e_toward = gated_energy(r, bf.weights_das(toward));
-  const double e_mirror = gated_energy(r, bf.weights_das(mirror));
+  const CMatrix r = gate_covariance(analytic_channels(echo), 0, echo.length());
+  const double e_toward = gated_energy(r, weights(solver, toward, false));
+  const double e_mirror = gated_energy(r, weights(solver, mirror, false));
   EXPECT_GT(e_toward, 1.3 * e_mirror);
 }
 
@@ -340,36 +349,35 @@ TEST(NoiseCovarianceOf, MatchesDirectEstimate) {
                std::invalid_argument);
 }
 
-TEST(NarrowbandBeamformer, CopiesOutliveTheSource) {
-  // Regression: the beamformer caches a kernel-facing channel-pointer
-  // array; a member-wise copy left it aimed into the source object, so a
-  // copy whose source had died read freed memory. Copies (and copies of
-  // copies) must answer energy and gate-covariance queries bit-identically
-  // after the source is gone; the incoherent energy reads the pointer
-  // array through the kernel table.
+TEST(WeightSolver, CopiesOutliveTheSource) {
+  // A solver is a plain value: copies, copies of copies and moved-to
+  // solvers solve bit-identical weights after the source is gone, on the
+  // full array and on a degraded subarray.
   const ArrayGeometry g = make_respeaker_array();
-  const MultiChannelSignal x =
-      plane_wave_tone(g, Direction{1.0, 1.2}, kF0, 512, 0.05);
-  std::vector<ComplexSignal> chans;
-  for (const Signal& c : x.channels)
-    chans.push_back(echoimage::dsp::analytic_signal(c));
-  auto source = std::make_unique<NarrowbandBeamformer>(
-      chans, kFs, kF0, g, white_noise_covariance(g.num_mics()));
-  const auto w = source->weights_mvdr(Direction{1.0, 1.2});
-  const double want_steered =
-      gated_energy(source->gate_covariance(0, 512), w);
-  const double want_incoherent = source->incoherent_energy(0, 512);
-  NarrowbandBeamformer copy = *source;
-  NarrowbandBeamformer assigned = copy;
-  assigned = *source;
-  source.reset();  // free the original buffers
-  EXPECT_EQ(gated_energy(copy.gate_covariance(0, 512), w), want_steered);
-  EXPECT_EQ(copy.incoherent_energy(0, 512), want_incoherent);
-  EXPECT_EQ(gated_energy(assigned.gate_covariance(0, 512), w), want_steered);
-  EXPECT_EQ(assigned.incoherent_energy(0, 512), want_incoherent);
-  const NarrowbandBeamformer moved = std::move(assigned);
-  EXPECT_EQ(gated_energy(moved.gate_covariance(0, 512), w), want_steered);
-  EXPECT_EQ(moved.incoherent_energy(0, 512), want_incoherent);
+  std::mt19937 gen(11);
+  std::normal_distribution<double> d(0.0, 1.0);
+  MultiChannelSignal noise;
+  noise.channels.assign(g.num_mics(), Signal(1024));
+  for (Signal& c : noise.channels)
+    for (double& v : c) v = d(gen);
+  const CMatrix noise_cov = noise_covariance_of(noise);
+  ChannelMask degraded(g.num_mics(), true);
+  degraded[2] = false;
+  const Direction look{1.0, 1.2};
+  for (const ChannelMask& mask : {ChannelMask{}, degraded}) {
+    auto source = std::make_unique<WeightSolver>(g, noise_cov, kF0,
+                                                 kSpeedOfSoundMps, mask);
+    const std::vector<Complex> want = weights(*source, look);
+    ASSERT_EQ(want.size(), mask.empty() ? g.num_mics() : g.num_mics() - 1);
+    WeightSolver copy = *source;
+    WeightSolver assigned(g, white_noise_covariance(g.num_mics()), kF0);
+    assigned = copy;
+    source.reset();
+    EXPECT_EQ(weights(copy, look), want);
+    EXPECT_EQ(weights(assigned, look), want);
+    const WeightSolver moved = std::move(assigned);
+    EXPECT_EQ(weights(moved, look), want);
+  }
 }
 
 TEST(Beampattern, PeaksAtLookDirection) {

@@ -3,7 +3,9 @@
 // to the imaging chain — filtering, beamforming, gating, or the parallel
 // decomposition. A second golden pins the gate branches the default scene
 // never takes: echo-anchored raw (uncompressed) gates, some clipped at the
-// end of the capture and some starting past it.
+// end of the capture and some starting past it. Two more pin, bit for bit,
+// the weight paths the default scene never takes: MVDR on a degraded
+// subarray (channels 1 and 4 masked out) and delay-and-sum weights.
 //
 // Regenerate (after an INTENDED numerical change, with the serial path):
 //   ECHOIMAGE_REGEN_GOLDEN=1 ./echoimage_tests --gtest_filter='GoldenImage.*'
@@ -49,8 +51,9 @@ ImagingConfig clipped_gates_config() {
   return cfg;
 }
 
-std::vector<Matrix2D> render_golden_scene(const ImagingConfig& cfg,
-                                          double tau_echo_s = -1.0) {
+std::vector<Matrix2D> render_golden_scene(
+    const ImagingConfig& cfg, double tau_echo_s = -1.0,
+    const echoimage::array::ChannelMask& active_mask = {}) {
   const auto geometry = echoimage::array::make_respeaker_array();
   const auto users =
       echoimage::eval::make_users(echoimage::eval::make_roster(), 7);
@@ -60,7 +63,7 @@ std::vector<Matrix2D> render_golden_scene(const ImagingConfig& cfg,
   const auto batch = collector.collect(users[0], cond, 1);
   return AcousticImager(cfg, geometry)
       .construct_bands(batch.beeps[0], echoimage::units::Meters{0.7}, 0.0002,
-                       batch.noise_only, tau_echo_s);
+                       batch.noise_only, tau_echo_s, active_mask);
 }
 
 std::string golden_path(std::size_t band, const std::string& stem =
@@ -201,6 +204,57 @@ TEST(GoldenImage, ClippedAnchoredRawGatesBitExactToCommittedReference) {
       }
     }
   }
+}
+
+// Regenerates the `stem` golden pair from the serial path under
+// ECHOIMAGE_REGEN_GOLDEN; otherwise every supported lane, serial and
+// threaded, must reproduce it bit for bit.
+void expect_bit_exact_golden(const std::string& stem, const ImagingConfig& cfg,
+                             const echoimage::array::ChannelMask& active_mask) {
+  if (std::getenv("ECHOIMAGE_REGEN_GOLDEN") != nullptr) {
+    const std::vector<Matrix2D> bands =
+        render_golden_scene(cfg, -1.0, active_mask);
+    for (std::size_t b = 0; b < bands.size(); ++b)
+      echoimage::eval::write_matrix_file(golden_path(b, stem), bands[b]);
+    GTEST_SKIP() << "regenerated " << stem << " golden files";
+  }
+  std::vector<Matrix2D> golden;
+  for (std::size_t b = 0; b < cfg.num_subbands; ++b)
+    golden.push_back(echoimage::eval::read_matrix_file(golden_path(b, stem)));
+  for (echoimage::simd::Isa isa : echoimage::simd::supported_isas()) {
+    echoimage::simd::ScopedIsa forced(isa);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      ImagingConfig lane_cfg = cfg;
+      lane_cfg.num_threads = threads;
+      const std::vector<Matrix2D> bands =
+          render_golden_scene(lane_cfg, -1.0, active_mask);
+      ASSERT_EQ(bands.size(), golden.size());
+      for (std::size_t b = 0; b < bands.size(); ++b) {
+        ASSERT_EQ(bands[b].size(), golden[b].size());
+        for (std::size_t i = 0; i < bands[b].size(); ++i) {
+          ASSERT_EQ(bands[b].data()[i], golden[b].data()[i])
+              << stem << " lane " << echoimage::simd::isa_name(isa)
+              << " threads " << threads << " band " << b << " pixel " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(GoldenImage, DegradedMaskMvdrBitExactToCommittedReference) {
+  // The health gate has condemned channels 1 and 4: MVDR weights on the
+  // surviving subarray against the masked noise covariance.
+  echoimage::array::ChannelMask mask(6, true);
+  mask[1] = false;
+  mask[4] = false;
+  expect_bit_exact_golden("golden_image_degraded_band", golden_config(),
+                          mask);
+}
+
+TEST(GoldenImage, DelayAndSumBitExactToCommittedReference) {
+  ImagingConfig cfg = golden_config();
+  cfg.use_mvdr = false;
+  expect_bit_exact_golden("golden_image_das_band", cfg, {});
 }
 
 }  // namespace

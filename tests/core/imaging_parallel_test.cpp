@@ -244,7 +244,7 @@ std::vector<MultiChannelSignal> mixed_length_beeps(
 
 // The per-capture path: one imaging pass over every beep of a capture
 // must image each beep bit for bit as the one-context-per-call wrapper
-// does, and so must the one-beep call on the shared context, at {1, 2, 3,
+// does, and so must a one-beep pass on the shared context, at {1, 2, 3,
 // 4, 8} workers and on every ISA lane. The reference is the serial
 // wrapper.
 void expect_context_matches_wrapper(const ImagingConfig& base,
@@ -281,8 +281,10 @@ void expect_context_matches_wrapper(const ImagingConfig& base,
                      << what << ", lane " << echoimage::simd::isa_name(isa)
                      << ", " << threads << " workers, beep " << b);
         expect_bitwise_equal(reference[b], pass[b].bands, what);
-        expect_bitwise_equal(reference[b],
-                             imager.construct_bands(beeps[b], context), what);
+        expect_bitwise_equal(
+            reference[b],
+            imager.construct_capture({&beeps[b], 1}, context).front().bands,
+            what);
       }
     }
   }
@@ -356,7 +358,8 @@ TEST(ParallelImaging, CaptureContextServesABeepOfAnotherLength) {
       0.7_m, 4 * batch.beeps[0].length(), 0.0002, batch.noise_only);
   expect_bitwise_equal(
       imager.construct_bands(batch.beeps[0], 0.7_m, 0.0002, batch.noise_only),
-      imager.construct_bands(batch.beeps[0], context), "other beep length");
+      imager.construct_capture({&batch.beeps[0], 1}, context).front().bands,
+      "other beep length");
 }
 
 TEST(ParallelImaging, ProcessMatchesThePerBeepRecomposition) {

@@ -82,7 +82,7 @@ TEST(AcousticImager, ConstructBandsReturnsOneImagePerSubband) {
   ASSERT_EQ(bands.size(), 3u);
   for (const Matrix2D& b : bands) {
     EXPECT_EQ(b.rows(), 16u);
-    EXPECT_GT(echoimage::dsp::l2_norm(b.data()), 0.0);
+    EXPECT_GT(echoimage::dsp::energy(b.data()), 0.0);
   }
 }
 

@@ -17,11 +17,6 @@ TEST(Signal, EnergyOfEmptySignalIsZero) {
   EXPECT_DOUBLE_EQ(energy(Signal{}), 0.0);
 }
 
-TEST(Signal, L2NormIsSqrtOfEnergy) {
-  const Signal x{3.0, 4.0};
-  EXPECT_DOUBLE_EQ(l2_norm(x), 5.0);
-}
-
 TEST(Signal, RmsOfConstantSignal) {
   const Signal x(100, 2.5);
   EXPECT_NEAR(rms(x), 2.5, 1e-12);
@@ -83,51 +78,6 @@ TEST(Signal, AddInPlaceWithShorterAddend) {
   EXPECT_DOUBLE_EQ(a[0], 3.0);
   EXPECT_DOUBLE_EQ(a[1], 4.0);
   EXPECT_DOUBLE_EQ(a[2], 1.0);
-}
-
-TEST(Signal, MixAtOffsetAndGain) {
-  Signal a(5, 0.0);
-  const Signal b{1.0, 1.0, 1.0};
-  mix_at(a, b, 3, 2.0);  // only two samples fit
-  EXPECT_DOUBLE_EQ(a[2], 0.0);
-  EXPECT_DOUBLE_EQ(a[3], 2.0);
-  EXPECT_DOUBLE_EQ(a[4], 2.0);
-}
-
-TEST(Signal, MixAtBeyondEndIsNoop) {
-  Signal a(3, 1.0);
-  mix_at(a, Signal{9.0}, 10);
-  EXPECT_DOUBLE_EQ(a[2], 1.0);
-}
-
-TEST(Signal, SegmentZeroPadsOutOfRange) {
-  const Signal x{1.0, 2.0, 3.0};
-  const Signal s = segment(x, 2, 4);
-  ASSERT_EQ(s.size(), 4u);
-  EXPECT_DOUBLE_EQ(s[0], 3.0);
-  EXPECT_DOUBLE_EQ(s[1], 0.0);
-  EXPECT_DOUBLE_EQ(s[3], 0.0);
-}
-
-TEST(Signal, SegmentPastEndIsAllZero) {
-  const Signal x{1.0};
-  const Signal s = segment(x, 5, 3);
-  for (const double v : s) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(Signal, DbConversionsRoundTrip) {
-  for (const double db : {-40.0, -6.02, 0.0, 12.0}) {
-    EXPECT_NEAR(amplitude_to_db(db_to_amplitude(db)), db, 1e-9);
-  }
-}
-
-TEST(Signal, AmplitudeToDbOfNonPositiveIsFloor) {
-  EXPECT_LE(amplitude_to_db(0.0), -299.0);
-  EXPECT_LE(amplitude_to_db(-1.0), -299.0);
-}
-
-TEST(Signal, PowerToDbOfTenIsTen) {
-  EXPECT_NEAR(power_to_db(10.0), 10.0, 1e-12);
 }
 
 TEST(Signal, SecondsSamplesRoundTrip) {

@@ -52,20 +52,6 @@ TEST(GramMatrix, SymmetricWithUnitDiagonal) {
   }
 }
 
-TEST(GammaScale, InverseOfDimTimesVariance) {
-  // Two features, variance 1 each -> gamma = 1/(2*1) = 0.5.
-  std::vector<std::vector<double>> x;
-  for (const double v : {-1.0, 1.0, -1.0, 1.0})
-    x.push_back({v, -v});
-  EXPECT_NEAR(rbf_gamma_scale(x), 0.5, 1e-9);
-}
-
-TEST(GammaScale, DegenerateDataGetsFallback) {
-  const std::vector<std::vector<double>> constant(5, {2.0, 2.0});
-  EXPECT_DOUBLE_EQ(rbf_gamma_scale(constant), 1.0);
-  EXPECT_DOUBLE_EQ(rbf_gamma_scale({}), 1.0);
-}
-
 TEST(GammaMedian, InverseOfMedianPairDistance) {
   // Three collinear points 0, 1, 3: pair d^2 = {1, 9, 4}; median = 4.
   const std::vector<std::vector<double>> x{{0.0}, {1.0}, {3.0}};

@@ -85,23 +85,5 @@ TEST(BilinearResize, DegenerateTargetsHandled) {
   EXPECT_DOUBLE_EQ(one(0, 0), 1.0);
 }
 
-TEST(MinMaxNormalize, MapsToUnitInterval) {
-  Matrix2D m(1, 4);
-  m(0, 0) = -2.0;
-  m(0, 1) = 0.0;
-  m(0, 2) = 2.0;
-  m(0, 3) = 6.0;
-  const Matrix2D n = min_max_normalize(m);
-  EXPECT_DOUBLE_EQ(n(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(n(0, 1), 0.25);
-  EXPECT_DOUBLE_EQ(n(0, 3), 1.0);
-}
-
-TEST(MinMaxNormalize, ConstantImageBecomesZero) {
-  const Matrix2D m(3, 3, 5.0);
-  const Matrix2D n = min_max_normalize(m);
-  for (const double v : n.data()) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
 }  // namespace
 }  // namespace echoimage::ml

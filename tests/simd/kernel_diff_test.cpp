@@ -168,36 +168,6 @@ TEST(KernelDiff, SosSectionMatchesScalarBitwise) {
   }
 }
 
-TEST(KernelDiff, EnergyKernelsMatchScalarBitwise) {
-  const KernelTable& ref = kernels_for(Isa::kScalar);
-  for (Isa isa : vector_lanes()) {
-    const KernelTable& vec = kernels_for(isa);
-    std::mt19937_64 gen(0xC0FFEE06 + static_cast<unsigned>(isa));
-    for (std::size_t m : {1u, 2u, 3u, 6u, 7u}) {
-      for (std::size_t len : {1u, 2u, 5u, 16u, 33u, 100u}) {
-        std::vector<MisalignedComplex> chans;
-        std::vector<const Complex*> ptrs;
-        chans.reserve(m);
-        for (std::size_t c = 0; c < m; ++c) chans.emplace_back(len, gen);
-        for (const auto& c : chans) ptrs.push_back(c.data);
-        // Sweep first/count including odd offsets and clamped tails.
-        for (std::size_t first : {0u, 1u, 3u}) {
-          if (first >= len) continue;
-          const std::size_t count = len - first;
-          const double ie_ref =
-              ref.incoherent_energy_f64(ptrs.data(), m, first, count);
-          const double ie_vec =
-              vec.incoherent_energy_f64(ptrs.data(), m, first, count);
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(ie_ref),
-                    std::bit_cast<std::uint64_t>(ie_vec))
-              << "incoherent_energy_f64 lane=" << isa_name(isa) << " m=" << m
-              << " len=" << len << " first=" << first;
-        }
-      }
-    }
-  }
-}
-
 TEST(KernelDiff, ScopedIsaForcesAndRestores) {
   const Isa before = active_isa();
   {
