@@ -1,9 +1,9 @@
 // Micro-benchmarks of the DSP kernels the imager runs per beep, swept
 // across every ISA lane this machine supports (forced via
 // simd::ScopedIsa), with the scalar lane as the baseline. The gate
-// covariance, the quadratic form and the incoherent energy are plain
-// scalar code outside the kernel table, so their rows read the same on
-// every lane. For each kernel x
+// covariance, its packed form, the closed-form pixel and the incoherent
+// energy are plain scalar code outside the kernel table, so their rows
+// read the same on every lane. For each kernel x
 // lane the harness reports ns/op and the speedup over scalar, and
 // cross-checks that the lane reproduced the scalar output bit for bit — a
 // benchmark that quietly measured different numbers would be worthless.
@@ -20,6 +20,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <numbers>
 #include <random>
 #include <string>
 #include <vector>
@@ -152,11 +153,12 @@ std::vector<Kernel> make_kernels() {
 
   // The sweep's energy terms on 6 channels x 2880 snapshots: the gate
   // covariance R_g of one 144-sample gate (a +/-1.5 ms range gate at
-  // 48 kHz; formed once per distinct gate, band and beep), the quadratic
-  // form w^H R_g w (once per pixel, band and beep), and the incoherent
-  // energy over the whole window.
+  // 48 kHz; formed once per distinct gate, band and beep), its packed MVDR
+  // form B_g = (R^-1)^H R_g R^-1 (built right after it), one pixel's
+  // closed-form energy a^H B_g a / (a^H R^-1 a)^2 over 5 bands and 2 beeps
+  // (once per pixel), and the incoherent energy over the whole window.
   {
-    const std::size_t len = 2880, m = 6, gate = 144;
+    const std::size_t len = 2880, m = 6, gate = 144, bands = 5, beeps = 2;
     std::vector<dsp::ComplexSignal> chans(m);
     std::mt19937 gen(4);
     std::normal_distribution<double> d(0.0, 1.0);
@@ -164,11 +166,13 @@ std::vector<Kernel> make_kernels() {
       ch.resize(len);
       for (auto& v : ch) v = Complex(d(gen), d(gen));
     }
-    const array::WeightSolver solver(array::make_respeaker_array(),
-                                     array::white_noise_covariance(m),
-                                     units::Hertz{2500.0});
-    std::vector<Complex> steering, w;
-    solver.compute_weights(array::Direction{1.0, 1.2}, true, steering, w);
+    const array::CMatrix noise_cov =
+        array::normalized_covariance(chans, 0, len);
+    std::vector<array::WeightSolver> solvers;
+    for (std::size_t b = 0; b < bands; ++b)
+      solvers.emplace_back(
+          array::make_respeaker_array(), noise_cov,
+          units::Hertz{2100.0 + 200.0 * static_cast<double>(b)});
     kernels.push_back({"gate_covariance", m * gate, [chans, gate]() {
                          const auto r =
                              array::gate_covariance(chans, 1000, gate);
@@ -176,11 +180,42 @@ std::vector<Kernel> make_kernels() {
                              reinterpret_cast<const double*>(r.data().data()),
                              2 * r.data().size());
                        }});
+    const std::size_t form_size = array::packed_form_size(m);
     const auto r = array::gate_covariance(chans, 1000, gate);
-    kernels.push_back({"gated_energy", m * m, [r, w]() {
-                         const double e = array::gated_energy(r, w);
-                         return std::bit_cast<std::uint64_t>(e);
+    kernels.push_back({"packed_gate_form", m * m, [solvers, r, form_size]() {
+                         std::vector<double> form(form_size);
+                         solvers.front().pack_gate_form(r, true, form.data());
+                         return digest(form.data(), form.size());
                        }});
+    // Each (band, beep) slot's form, from a gate of its own.
+    std::vector<double> forms(bands * beeps * form_size);
+    for (std::size_t slot = 0; slot < bands * beeps; ++slot)
+      solvers[slot / beeps].pack_gate_form(
+          array::gate_covariance(chans, 1000 + 100 * slot, gate), true,
+          forms.data() + slot * form_size);
+    const array::Vec3 unit = array::Vec3{0.1, 0.7, 0.2}.normalized();
+    const array::ArrayGeometry geom = array::make_respeaker_array();
+    const double k0 = 2.0 * std::numbers::pi * 2100.0 / array::kSpeedOfSound;
+    const double dk = 2.0 * std::numbers::pi * 200.0 / array::kSpeedOfSound;
+    kernels.push_back(
+        {"closed_form_pixel", bands * beeps, [solvers, forms, geom, unit, k0,
+                                              dk, m, beeps, form_size]() {
+           std::vector<Complex> steering;
+           std::vector<double> pairs;
+           array::steering_ladder(geom, unit, k0, dk, solvers.size(),
+                                  steering);
+           double e = 0.0;
+           for (std::size_t b = 0; b < solvers.size(); ++b) {
+             array::steering_pairs(steering.data() + b * m, m, pairs);
+             const double den = solvers[b].denominator(pairs, true);
+             for (std::size_t beep = 0; beep < beeps; ++beep)
+               e += array::packed_form_value(
+                        forms.data() + (b * beeps + beep) * form_size,
+                        pairs) /
+                    (den * den);
+           }
+           return std::bit_cast<std::uint64_t>(e);
+         }});
     kernels.push_back({"incoherent_energy", m * len, [chans, len]() {
                          const double e =
                              array::incoherent_energy(chans, 0, len);

@@ -1,6 +1,7 @@
 #include "array/beamformer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numbers>
 #include <stdexcept>
 #include <string>
@@ -67,6 +68,21 @@ WeightSolver::WeightSolver(const ArrayGeometry& geom,
   CMatrix loaded = masked_covariance(noise_covariance, active_mask);
   loaded.add_diagonal(1e-3);
   noise_cov_inv_ = echoimage::linalg::inverse(loaded);
+  // The inverse of a Hermitian matrix is Hermitian only up to rounding;
+  // a^H R^-1 a is real exactly for its Hermitian part.
+  const std::size_t m = geom_.num_mics();
+  packed_inverse_.resize(packed_form_size(m));
+  double* f = packed_inverse_.data();
+  for (std::size_t i = 0; i < m; ++i) f[0] += noise_cov_inv_(i, i).real();
+  ++f;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = i + 1; j < m; ++j) {
+      const Complex upper = noise_cov_inv_(i, j);
+      const Complex lower = noise_cov_inv_(j, i);
+      *f++ = 0.5 * (upper.real() + lower.real());
+      *f++ = 0.5 * (upper.imag() - lower.imag());
+    }
+  }
 }
 
 void WeightSolver::compute_weights(const Direction& dir, bool use_mvdr,
@@ -84,6 +100,110 @@ void WeightSolver::compute_weights(const Direction& dir, bool use_mvdr,
     const double inv_m = 1.0 / static_cast<double>(out.size());
     for (Complex& w : out) w *= inv_m;
   }
+}
+
+void WeightSolver::pack_gate_form(const CMatrix& gate_covariance,
+                                  bool use_mvdr, double* out) const {
+  const std::size_t m = geom_.num_mics();
+  if (gate_covariance.rows() != m || gate_covariance.cols() != m)
+    throw std::invalid_argument("pack_gate_form: covariance/mic mismatch");
+  const Complex* r = gate_covariance.data().data();
+  if (!use_mvdr) {
+    const double scale = 1.0 / static_cast<double>(m * m);
+    double trace = 0.0;
+    for (std::size_t i = 0; i < m; ++i) trace += r[i * m + i].real();
+    *out++ = trace * scale;
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = i + 1; j < m; ++j) {
+        *out++ = r[i * m + j].real() * scale;
+        *out++ = r[i * m + j].imag() * scale;
+      }
+    }
+    return;
+  }
+  // Column by column: t = R_g q_j for the j-th column q_j of R^-1, then
+  // B_ij = sum_k conj(R^-1_ki) t_k for i <= j, k ascending. Products are
+  // spelled out in real arithmetic, as in `gate_covariance`.
+  const Complex* q = noise_cov_inv_.data().data();
+  std::vector<double> t(2 * m);
+  double trace = 0.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    for (std::size_t k = 0; k < m; ++k) {
+      double re = 0.0, im = 0.0;
+      for (std::size_t l = 0; l < m; ++l) {
+        const Complex a = r[k * m + l], b = q[l * m + j];
+        re += a.real() * b.real() - a.imag() * b.imag();
+        im += a.real() * b.imag() + a.imag() * b.real();
+      }
+      t[2 * k] = re;
+      t[2 * k + 1] = im;
+    }
+    for (std::size_t i = 0; i <= j; ++i) {
+      double re = 0.0, im = 0.0;
+      for (std::size_t k = 0; k < m; ++k) {
+        const Complex a = q[k * m + i];
+        re += a.real() * t[2 * k] + a.imag() * t[2 * k + 1];
+        im += a.real() * t[2 * k + 1] - a.imag() * t[2 * k];
+      }
+      if (i == j) {
+        trace += re;
+        continue;
+      }
+      // Pair (i, j) sits after the m - 1 + ... + m - i pairs of rows < i.
+      const std::size_t pair = i * (2 * m - i - 1) / 2 + (j - i - 1);
+      out[1 + 2 * pair] = re;
+      out[2 + 2 * pair] = im;
+    }
+  }
+  out[0] = trace;
+}
+
+double WeightSolver::denominator(const std::vector<double>& pairs,
+                                 bool use_mvdr) const {
+  return use_mvdr ? packed_form_value(packed_inverse_.data(), pairs) : 1.0;
+}
+
+void steering_ladder(const ArrayGeometry& geom, const Vec3& unit, double k0,
+                     double dk, std::size_t bands, std::vector<Complex>& out) {
+  const std::size_t m = geom.num_mics();
+  out.resize(bands * m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const double along = unit.dot(geom.mic(i));
+    const double phase = k0 * along;
+    double re = std::cos(phase), im = std::sin(phase);
+    out[i] = Complex(re, im);
+    if (bands < 2) continue;
+    const double step = dk * along;
+    const double step_re = std::cos(step), step_im = std::sin(step);
+    for (std::size_t b = 1; b < bands; ++b) {
+      const double next_re = re * step_re - im * step_im;
+      im = re * step_im + im * step_re;
+      re = next_re;
+      out[b * m + i] = Complex(re, im);
+    }
+  }
+}
+
+void steering_pairs(const Complex* steering, std::size_t m,
+                    std::vector<double>& pairs) {
+  pairs.resize(m * (m - 1));
+  double* p = pairs.data();
+  for (std::size_t i = 0; i < m; ++i) {
+    const double ci = steering[i].real(), si = steering[i].imag();
+    for (std::size_t j = i + 1; j < m; ++j) {
+      const double cj = steering[j].real(), sj = steering[j].imag();
+      *p++ = ci * cj + si * sj;
+      *p++ = ci * sj - si * cj;
+    }
+  }
+}
+
+double packed_form_value(const double* form,
+                         const std::vector<double>& pairs) {
+  double q = 0.0;
+  for (std::size_t p = 0; p < pairs.size(); p += 2)
+    q += form[1 + p] * pairs[p] - form[2 + p] * pairs[p + 1];
+  return form[0] + 2.0 * q;
 }
 
 CMatrix noise_covariance_of(const MultiChannelSignal& noise) {
@@ -130,26 +250,6 @@ double incoherent_energy(const std::vector<ComplexSignal>& channels,
   for (const ComplexSignal& x : channels)
     for (std::size_t t = first; t < last; ++t) e += std::norm(x[t]);
   return e / static_cast<double>(channels.size());
-}
-
-double gated_energy(const CMatrix& gate_covariance,
-                    const std::vector<Complex>& w) {
-  const std::size_t m = w.size();
-  if (gate_covariance.rows() != m || gate_covariance.cols() != m)
-    throw std::invalid_argument("gated_energy: weight/covariance mismatch");
-  // Real arithmetic with the roundings of the std::complex products, as
-  // in `gate_covariance`.
-  const Complex* row = gate_covariance.data().data();
-  double q = 0.0;
-  for (std::size_t i = 0; i < m; ++i, row += m) {
-    double are = 0.0, aim = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      are += row[j].real() * w[j].real() - row[j].imag() * w[j].imag();
-      aim += row[j].real() * w[j].imag() + row[j].imag() * w[j].real();
-    }
-    q += w[i].real() * are + w[i].imag() * aim;
-  }
-  return q;
 }
 
 std::vector<double> beampattern(const ArrayGeometry& geom,

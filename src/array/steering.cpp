@@ -1,21 +1,9 @@
 #include "array/steering.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <stdexcept>
 
 namespace echoimage::array {
-
-Direction direction_to_point(const Vec3& p) {
-  const double r = p.norm();
-  if (r <= 0.0)
-    throw std::domain_error("direction_to_point: point at the origin");
-  Direction d;
-  d.phi = std::acos(std::clamp(p.z / r, -1.0, 1.0));
-  d.theta = std::atan2(p.y, p.x);
-  return d;
-}
 
 Vec3 line_of_sight(const Direction& dir) {
   const double sp = std::sin(dir.phi);

@@ -22,10 +22,6 @@ struct Direction {
   double phi = 0.0;
 };
 
-/// Direction pointing from the origin toward a point in space. Throws
-/// std::domain_error for the origin itself.
-[[nodiscard]] Direction direction_to_point(const Vec3& p);
-
 /// Unit vector from the origin toward direction Omega (the line of sight).
 [[nodiscard]] Vec3 line_of_sight(const Direction& dir);
 

@@ -4,11 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <numbers>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "array/steering.hpp"
 #include "dsp/butterworth.hpp"
 #include "dsp/hilbert.hpp"
 #include "dsp/matched_filter.hpp"
@@ -16,7 +16,6 @@
 
 namespace echoimage::core {
 
-using echoimage::array::Direction;
 using echoimage::dsp::ComplexSignal;
 
 namespace {
@@ -162,47 +161,57 @@ AcousticImager::CaptureContext AcousticImager::capture_context(
   context.tau_direct_s_ = tau_direct_s;
   context.active_mask_ = active_mask;
 
-  // Noise path and weight solvers, band after band on the calling thread:
-  // each band's temporaries are a filtered copy of the whole noise capture,
-  // so running bands concurrently would multiply the peak memory for
-  // little time.
+  // The noise path on the pool: the band-pass one task per channel, then
+  // one task per band for its subband filter, analytic signals and
+  // covariance, its weight solver (masked load and inverse) and its
+  // template spectrum. A band's temporaries are filtered and analytic
+  // copies of the noise gap, about 0.3 MB at 2,048 samples.
   const std::size_t mics = geometry_.num_mics();
+  const std::size_t num_bands = config_.num_subbands;
   const bool have_noise =
       noise_only.num_channels() == mics && noise_only.length() > 0;
   MultiChannelSignal noise_f;
-  if (have_noise)
-    noise_f.channels = bandpass_filter_.filtfilt_multi(noise_only.channels);
-  context.solvers_.reserve(config_.num_subbands);
-  for (std::size_t band = 0; band < config_.num_subbands; ++band) {
-    echoimage::array::CMatrix covariance;
-    if (!have_noise) {
-      covariance = echoimage::array::white_noise_covariance(mics);
-    } else if (config_.num_subbands > 1) {
-      MultiChannelSignal band_noise;
-      band_noise.channels =
-          subband_filters_[band].filtfilt_multi(noise_f.channels);
-      covariance = echoimage::array::noise_covariance_of(band_noise);
-    } else {
-      covariance = echoimage::array::noise_covariance_of(noise_f);
-    }
-    context.solvers_.emplace_back(geometry_, covariance,
-                                  units::Hertz{subband_centers_[band]},
-                                  config_.speed_of_sound, active_mask);
-  }
+  noise_f.channels.resize(have_noise ? mics : 0);
+  echoimage::runtime::parallel_for(
+      pool_.get(), noise_f.channels.size(), [&](std::size_t c, std::size_t) {
+        noise_f.channels[c] = bandpass_filter_.filtfilt(noise_only.channels[c]);
+      });
   if (config_.pulse_compression) {
     context.fft_length_ = fft_length_for(beep_length);
-    context.spectra_ = template_spectra(context.fft_length_);
+    context.spectra_.resize(num_bands);
   }
+  std::vector<std::optional<echoimage::array::WeightSolver>> solvers(
+      num_bands);
+  echoimage::runtime::parallel_for(
+      pool_.get(), num_bands, [&](std::size_t band, std::size_t) {
+        echoimage::array::CMatrix covariance;
+        if (!have_noise) {
+          covariance = echoimage::array::white_noise_covariance(mics);
+        } else if (num_bands > 1) {
+          MultiChannelSignal band_noise;
+          band_noise.channels =
+              subband_filters_[band].filtfilt_multi(noise_f.channels);
+          covariance = echoimage::array::noise_covariance_of(band_noise);
+        } else {
+          covariance = echoimage::array::noise_covariance_of(noise_f);
+        }
+        solvers[band].emplace(geometry_, covariance,
+                              units::Hertz{subband_centers_[band]},
+                              config_.speed_of_sound, active_mask);
+        if (context.fft_length_ > 0)
+          context.spectra_[band] = echoimage::dsp::template_spectrum(
+              subband_templates_[band], context.fft_length_);
+      });
+  context.solvers_.reserve(num_bands);
+  for (std::optional<echoimage::array::WeightSolver>& solver : solvers)
+    context.solvers_.push_back(std::move(*solver));
   return context;
 }
 
-MultiChannelSignal AcousticImager::prepare(const MultiChannelSignal& beep,
-                                           double tau_direct_s) const {
-  EI_SPAN(obs::Observability::tracer_of(obs_.get()), "imaging.prepare");
-  // Band-pass all channels to the probing band, lockstepped across
-  // channels (bit-identical to per-channel filtfilt).
-  MultiChannelSignal filtered;
-  filtered.channels = bandpass_filter_.filtfilt_multi(beep.channels);
+echoimage::dsp::Signal AcousticImager::prepare(const echoimage::dsp::Signal& x,
+                                               double tau_direct_s) const {
+  // Band-pass to the probing band.
+  echoimage::dsp::Signal filtered = bandpass_filter_.filtfilt(x);
 
   // Self-interference removal: zero the direct speaker->mic chirp region
   // (it is ~50 dB above body echoes and its analytic-signal tails would
@@ -211,10 +220,9 @@ MultiChannelSignal AcousticImager::prepare(const MultiChannelSignal& beep,
     const std::size_t direct_end = echoimage::dsp::seconds_to_samples(
         tau_direct_s + config_.chirp.duration.value() + config_.direct_guard_s,
         config_.sample_rate);
-    for (auto& ch : filtered.channels) {
-      const std::size_t n = std::min(direct_end, ch.size());
-      std::fill(ch.begin(), ch.begin() + static_cast<std::ptrdiff_t>(n), 0.0);
-    }
+    const std::size_t n = std::min(direct_end, filtered.size());
+    std::fill(filtered.begin(),
+              filtered.begin() + static_cast<std::ptrdiff_t>(n), 0.0);
   }
   return filtered;
 }
@@ -241,11 +249,12 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
   if (images_counter_ != nullptr) images_counter_->add(num_beeps);
   if (bands_counter_ != nullptr) bands_counter_->add(num_beeps * num_bands);
 
-  // Per beep, on the calling thread: band-pass and direct-path suppression,
-  // the template spectra at this beep's FFT length, and the gate window.
-  // Every (beep, band) slot below is beep-major: slot = beep * bands + band.
-  // The beep and band spans stay open through regions 1 and 2, whose tasks
-  // hang off them through explicit parents, whichever worker runs them.
+  // Per beep, on the calling thread: the template spectra at this beep's
+  // FFT length and the gate window. Every (beep, band) slot below is
+  // beep-major: slot = beep * bands + band. The beep, prepare and band
+  // spans stay open through the regions that do their work; region 1 and
+  // 2 tasks hang off the band spans through explicit parents, whichever
+  // worker runs them.
   struct BeepFront {
     MultiChannelSignal filtered;
     std::vector<ComplexSignal> own_spectra;
@@ -255,13 +264,16 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
   };
   std::vector<BeepFront> fronts(num_beeps);
   std::vector<std::optional<obs::ScopedSpan>> beep_spans(num_beeps);
+  std::vector<std::optional<obs::ScopedSpan>> prepare_spans(num_beeps);
   std::vector<std::optional<obs::ScopedSpan>> band_spans(num_beeps * num_bands);
   for (std::size_t b = 0; b < num_beeps; ++b) {
     beep_spans[b].emplace(tracer, "imaging.beep", b, construct_span.handle());
+    prepare_spans[b].emplace(tracer, "imaging.prepare");
     BeepFront& front = fronts[b];
-    front.filtered = prepare(beeps[b], context.tau_direct_s_);
+    front.filtered.channels.resize(mics);
     front.spectra = &context.spectra_;
-    const std::size_t fft = fft_length_for(front.filtered.length());
+    const std::size_t length = beeps[b].length();
+    const std::size_t fft = fft_length_for(length);
     if (config_.pulse_compression && fft != context.fft_length_) {
       front.own_spectra = template_spectra(fft);
       front.spectra = &front.own_spectra;
@@ -269,22 +281,34 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
     // The sweep reads only the samples inside some gate: keep [first,
     // last) of each channel and shift every gate by `first`. Gates past
     // the beep's end stay empty, as they are on the full channel.
-    front.last = std::min(front.filtered.length(), gates.window_last);
+    front.last = std::min(length, gates.window_last);
     front.first = std::min(gates.window_first, front.last);
     for (std::size_t band = 0; band < num_bands; ++band)
       band_spans[b * num_bands + band].emplace(tracer, "imaging.band", band,
                                                beep_spans[b]->handle());
   }
 
-  // Region 1, per (beep, band, active channel): subband filter, analytic
-  // signal and pulse compression of one channel, trimmed to the gate
-  // window. Matched filtering commutes with the linear beamformer, so
-  // compressing per channel once is equivalent to compressing every
-  // steered output. Channels the mask drops get no window at all.
+  // Region 0, per (beep, active channel): band-pass and direct-path
+  // suppression. Channels the mask drops are never filtered.
   const echoimage::array::ChannelMask& mask = context.active_mask_;
   std::vector<std::size_t> active;
   for (std::size_t c = 0; c < mics; ++c)
     if (mask.empty() || mask[c]) active.push_back(c);
+  echoimage::runtime::parallel_for(
+      pool_.get(), num_beeps * active.size(),
+      [&](std::size_t task, std::size_t) {
+        const std::size_t b = task / active.size();
+        const std::size_t c = active[task % active.size()];
+        fronts[b].filtered.channels[c] =
+            prepare(beeps[b].channels[c], context.tau_direct_s_);
+      });
+  prepare_spans.clear();
+
+  // Region 1, per (beep, band, active channel): subband filter, analytic
+  // signal and pulse compression of one channel, trimmed to the gate
+  // window. Matched filtering commutes with the linear beamformer, so
+  // compressing per channel once is equivalent to compressing every
+  // steered output.
   std::vector<std::vector<ComplexSignal>> windows(
       num_beeps * num_bands, std::vector<ComplexSignal>(active.size()));
   echoimage::runtime::parallel_for(
@@ -311,12 +335,15 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
   for (BeepFront& front : fronts) front.filtered = MultiChannelSignal{};
 
   // Region 2, per (beep, band): per distinct gate, the direction-free
-  // incoherent energy and the gate covariance R_g of the slot's windows,
-  // which is all the sweep needs of the beep. Each task frees its windows
-  // when its terms are done.
+  // incoherent energy and the packed form of the gate's numerator matrix
+  // B_g (array::packed_form_size), which is all the sweep needs of the
+  // beep. Each gate covariance R_g lives only until its form is packed,
+  // and each task frees its windows when its terms are done.
+  const std::size_t form_size =
+      echoimage::array::packed_form_size(active.size());
   struct GateTerms {
-    std::vector<double> incoherent;                     ///< per gate
-    std::vector<echoimage::array::CMatrix> covariance;  ///< per gate
+    std::vector<double> incoherent;  ///< per gate
+    std::vector<double> forms;       ///< per gate, form_size doubles each
   };
   std::vector<GateTerms> terms(num_beeps * num_bands);
   echoimage::runtime::parallel_for(
@@ -333,31 +360,45 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
                 x, gates.gates[g].first - first, gates.gates[g].second);
         }
         if (mix < 1.0) {
-          t.covariance.reserve(num_gates);
+          const echoimage::array::WeightSolver& solver =
+              context.solvers_[slot % num_bands];
+          t.forms.resize(num_gates * form_size);
           for (std::size_t g = 0; g < num_gates; ++g)
-            t.covariance.push_back(echoimage::array::gate_covariance(
-                x, gates.gates[g].first - first, gates.gates[g].second));
+            solver.pack_gate_form(
+                echoimage::array::gate_covariance(
+                    x, gates.gates[g].first - first, gates.gates[g].second),
+                config_.use_mvdr, t.forms.data() + g * form_size);
         }
         windows[slot] = {};
       });
   band_spans.clear();
   beep_spans.clear();
 
-  // Region 3, per grid row across every band and beep: each pixel's
-  // direction once, its weights once per band, then per beep its coherent
-  // energy w^H R_g w. Each task writes its own row of every image, so the
-  // images are bit-identical for any worker count, and a beep's pixels
-  // read only that beep's terms, so they do not depend on the other beeps
-  // of the pass. One task per row is a fixed grain, so the recorded
+  // Region 3, per grid row across every band and beep: each pixel's unit
+  // direction and its steering vectors on the subband ladder once per
+  // capture, its steering pair products and denominator once per band,
+  // then per beep its coherent energy in closed form, a^H B_g a / den^2.
+  // Each task writes its own row of every image, so the images are
+  // bit-identical for any worker count, and a beep's pixels read only that
+  // beep's terms, so they do not depend on the other beeps of the pass.
+  // One task per row is a fixed grain, so the recorded
   // `imaging.grid_chunk[row]` spans are identical for every worker count
   // too (the determinism contract in obs/trace.hpp).
+  const echoimage::array::ArrayGeometry subarray = geometry_.subarray(mask);
+  const double speed = config_.speed_of_sound.value();
+  const double k0 = 2.0 * std::numbers::pi * subband_centers_.front() / speed;
+  const double dk = num_bands > 1 ? 2.0 * std::numbers::pi *
+                                        (subband_centers_[1] -
+                                         subband_centers_[0]) /
+                                        speed
+                                  : 0.0;
   std::vector<std::vector<Matrix2D>> energies(
       num_beeps, std::vector<Matrix2D>(num_bands, Matrix2D(grid, grid)));
   {
     EI_SPAN_NAMED(sweep_span, tracer, "imaging.grid_sweep");
     struct PixelScratch {
       std::vector<echoimage::dsp::Complex> steering;
-      std::vector<echoimage::dsp::Complex> weights;
+      std::vector<double> pairs;
     };
     echoimage::runtime::ScratchArena<PixelScratch> arena(
         pool_ != nullptr ? pool_->num_workers() : 1);
@@ -368,20 +409,30 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
           for (std::size_t col = 0; col < grid; ++col) {
             const std::size_t k = row * grid + col;
             const std::uint32_t g = gates.pixel_gate[k];
-            Direction dir;
             if (mix < 1.0)
-              dir = echoimage::array::direction_to_point(
-                  grid_center(config_, row, col, context.plane_distance_m_));
+              echoimage::array::steering_ladder(
+                  subarray,
+                  grid_center(config_, row, col, context.plane_distance_m_)
+                      .normalized(),
+                  k0, dk, num_bands, s.steering);
             for (std::size_t band = 0; band < num_bands; ++band) {
-              if (mix < 1.0)
-                context.solvers_[band].compute_weights(
-                    dir, config_.use_mvdr, s.steering, s.weights);
+              double den2 = 1.0;
+              if (mix < 1.0) {
+                echoimage::array::steering_pairs(
+                    s.steering.data() + band * active.size(), active.size(),
+                    s.pairs);
+                const double den = context.solvers_[band].denominator(
+                    s.pairs, config_.use_mvdr);
+                den2 = den * den;
+              }
               for (std::size_t b = 0; b < num_beeps; ++b) {
                 const GateTerms& t = terms[b * num_bands + band];
                 double e = 0.0;
                 if (mix < 1.0)
-                  e += (1.0 - mix) * echoimage::array::gated_energy(
-                                         t.covariance[g], s.weights);
+                  e += (1.0 - mix) *
+                       (echoimage::array::packed_form_value(
+                            t.forms.data() + g * form_size, s.pairs) /
+                        den2);
                 if (mix > 0.0) e += mix * t.incoherent[g];
                 energies[b][band].data()[k] += e;
               }

@@ -10,14 +10,18 @@
 //
 // That gated energy sum_{t in g} |w^H x_t|^2 equals w^H R_g w, where the
 // gate covariance R_g = sum_{t in g} x_t x_t^H is one M x M matrix shared
-// by every pixel whose gate is g. Weights and data are kept apart: the
-// capture context holds one array::WeightSolver per band, and a beep
-// contributes only its gate statistics. The imager therefore images all
-// beeps of a capture in one pass: R_g once per (beep, band, distinct
-// gate), each pixel's direction once per capture and its weights once per
-// band, then w^H R_g w per beep. A beep's image depends only on that beep
-// and the capture context, so the one-beep calls reproduce every beep of a
-// pass bit for bit.
+// by every pixel whose gate is g. With the MVDR weights of Eq. 8 it has a
+// closed form, w^H R_g w = a^H B_g a / (a^H R^-1 a)^2 with B_g = (R^-1)^H
+// R_g R^-1 (delay-and-sum: a^H R_g a / M^2), so no pixel solves a weight.
+// Weights and data are kept apart: the capture context holds one
+// array::WeightSolver per band, and a beep contributes only its gate
+// statistics. The imager therefore images all beeps of a capture in one
+// pass: R_g once per (beep, band, distinct gate), packed at once into B_g
+// and freed; each pixel's unit direction and its steering vectors on the
+// subband ladder once per capture, its steering pair products and
+// denominator once per band; then a^H B_g a per beep.
+// A beep's image depends only on that beep and the capture context, so
+// the one-beep calls reproduce every beep of a pass bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -90,12 +94,14 @@ struct ImagingConfig {
   /// 1 = single full-band image.
   std::size_t num_subbands = 5;
   units::MetersPerSecond speed_of_sound = echoimage::array::kSpeedOfSoundMps;
-  /// Workers of the imager's pool, which runs each capture's per-(beep,
-  /// band, channel) front end, per-(beep, band) gate terms and grid sweep,
-  /// and the pipeline's per-band CNN. 1 = the historical serial path (no pool, no
-  /// synchronization); 0 = one per hardware thread. Any value produces
-  /// bit-identical images: every task writes its own slots and bands
-  /// accumulate in a fixed order (see DESIGN.md, "Threading model").
+  /// Workers of the imager's pool, which runs each capture's noise path
+  /// (per channel, then per band), per-(beep, channel) band-pass,
+  /// per-(beep, band, channel) front end, per-(beep, band) gate terms and
+  /// grid sweep, and the pipeline's per-band CNN. 1 = the historical
+  /// serial path (no pool, no synchronization); 0 = one per hardware
+  /// thread. Any value produces bit-identical images: every task writes
+  /// its own slots and bands accumulate in a fixed order (see DESIGN.md,
+  /// "Threading model").
   std::size_t num_threads = 1;
 };
 
@@ -140,9 +146,10 @@ class AcousticImager {
   /// keeps every site a dead branch. Call before first use.
   void attach_observability(std::shared_ptr<const obs::Observability> obs);
 
-  /// What every beep of one capture shares, built once on the calling
-  /// thread: each band's weight solver (band-pass, subband filter and
-  /// covariance of `noise_only`, reduced to `active_mask` and inverted),
+  /// What every beep of one capture shares, built once per capture on the
+  /// pool (one task per noise channel, then one per band): each band's
+  /// weight solver (band-pass, subband filter and covariance of
+  /// `noise_only`, reduced to `active_mask` and inverted),
   /// each band's matched-filter template spectrum at the FFT length of a
   /// `beep_length`-sample beep, and the gate table of the plane at
   /// `plane_distance` for the given time anchors. `tau_direct_s`,
@@ -208,9 +215,10 @@ class AcousticImager {
   /// Each band's template spectrum at `fft_length`.
   [[nodiscard]] std::vector<echoimage::dsp::ComplexSignal> template_spectra(
       std::size_t fft_length) const;
-  /// Front end shared by all bands: band-pass + direct-path suppression.
-  [[nodiscard]] MultiChannelSignal prepare(const MultiChannelSignal& beep,
-                                           double tau_direct_s) const;
+  /// Front end shared by all bands, one channel at a time: band-pass +
+  /// direct-path suppression.
+  [[nodiscard]] echoimage::dsp::Signal prepare(const echoimage::dsp::Signal& x,
+                                               double tau_direct_s) const;
 
   ImagingConfig config_;
   ArrayGeometry geometry_;

@@ -8,6 +8,7 @@
 #include <numbers>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "array/covariance.hpp"
@@ -63,6 +64,43 @@ std::vector<ComplexSignal> analytic_channels(const MultiChannelSignal& x) {
   for (const Signal& c : x.channels)
     out.push_back(echoimage::dsp::analytic_signal(c));
   return out;
+}
+
+// The per-sample sum the gate covariance replaces, kept here as the
+// oracle: sum over t in the clipped gate of |w^H x(t)|^2.
+double per_sample_energy(const std::vector<ComplexSignal>& x,
+                         const std::vector<Complex>& w, std::size_t first,
+                         std::size_t count) {
+  double e = 0.0;
+  for (std::size_t t = first; t < first + count && t < x.front().size();
+       ++t) {
+    Complex y(0.0, 0.0);
+    for (std::size_t c = 0; c < x.size(); ++c) y += std::conj(w[c]) * x[c][t];
+    e += std::norm(y);
+  }
+  return e;
+}
+
+// The quadratic form the imager read per pixel before its closed form,
+// kept here as the oracle: w^H R_g w = sum_i Re(conj(w_i) a_i) with a_i =
+// sum_j R_g[i][j] w_j, i and j ascending, in real arithmetic with the
+// roundings of the std::complex products.
+double gated_energy(const CMatrix& gate_covariance,
+                    const std::vector<Complex>& w) {
+  const std::size_t m = w.size();
+  if (gate_covariance.rows() != m || gate_covariance.cols() != m)
+    throw std::invalid_argument("gated_energy: weight/covariance mismatch");
+  const Complex* row = gate_covariance.data().data();
+  double q = 0.0;
+  for (std::size_t i = 0; i < m; ++i, row += m) {
+    double are = 0.0, aim = 0.0;
+    for (std::size_t j = 0; j < m; ++j) {
+      are += row[j].real() * w[j].real() - row[j].imag() * w[j].imag();
+      aim += row[j].real() * w[j].imag() + row[j].imag() * w[j].real();
+    }
+    q += w[i].real() * are + w[i].imag() * aim;
+  }
+  return q;
 }
 
 TEST(MvdrWeights, DistortionlessConstraint) {
@@ -160,59 +198,59 @@ TEST(Beamformer, SteeredEnergyWindowed) {
       gated_energy(gate_covariance(x, 5000, 10), weights(solver, src)), 0.0);
 }
 
-// The per-sample sum the gate covariance replaces, kept here as the
-// oracle: sum over t in the clipped gate of |w^H x(t)|^2.
-double per_sample_energy(const std::vector<ComplexSignal>& x,
-                         const std::vector<Complex>& w, std::size_t first,
-                         std::size_t count) {
-  double e = 0.0;
-  for (std::size_t t = first; t < first + count && t < x.front().size();
-       ++t) {
-    Complex y(0.0, 0.0);
-    for (std::size_t c = 0; c < x.size(); ++c) y += std::conj(w[c]) * x[c][t];
-    e += std::norm(y);
+// The scene both gate-energy oracles run on: a noisy plane-wave tone from
+// `src` on the ReSpeaker array as raw and pulse-compressed analytic
+// channels (600 samples), a separate noise covariance, channels 1 and 4
+// masked out for the degraded case, and gates inside the window, clipped
+// at its end, starting past it, and empty.
+struct OracleScene {
+  ArrayGeometry g = make_respeaker_array();
+  Direction src{1.1, 1.3};
+  std::vector<ComplexSignal> raw, compressed;
+  CMatrix noise_cov;
+  ChannelMask degraded;
+  std::vector<std::pair<std::size_t, std::size_t>> gates = {
+      {0, 600}, {37, 144}, {300, 1}, {512, 88}, {520, 200}, {599, 5},
+      {600, 10}, {700, 50}, {10, 0}};
+
+  OracleScene() : degraded(g.num_mics(), true) {
+    const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 600, 0.3, 5);
+    const dsp::Signal chirp = dsp::Chirp(dsp::ChirpParams{}).sample(kFs);
+    for (const Signal& c : x.channels) {
+      raw.push_back(echoimage::dsp::analytic_signal(c));
+      compressed.push_back(
+          echoimage::dsp::matched_filter_complex(raw.back(), chirp));
+      compressed.back().resize(600);
+    }
+    std::mt19937 gen(9);
+    std::normal_distribution<double> d(0.0, 1.0);
+    MultiChannelSignal noise;
+    noise.channels.assign(g.num_mics(), Signal(2048));
+    for (Signal& c : noise.channels)
+      for (double& v : c) v = d(gen);
+    noise_cov = noise_covariance_of(noise);
+    degraded[1] = false;
+    degraded[4] = false;
   }
-  return e;
-}
+};
 
 TEST(Beamformer, GatedEnergyMatchesThePerSampleOracle) {
   // w^H R_g w against the per-sample sum, within 1e-12 * |w|^2 * tr(R_g),
   // on pulse-compressed and raw gates, gates clipped at or starting past
   // the window end, MVDR and delay-and-sum weights, full and degraded
   // arrays. Zero-energy gates must read exactly zero.
-  const ArrayGeometry g = make_respeaker_array();
-  const Direction src{1.1, 1.3};
-  const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 600, 0.3, 5);
-  const dsp::Signal chirp = dsp::Chirp(dsp::ChirpParams{}).sample(kFs);
-  std::vector<ComplexSignal> raw, compressed;
-  for (const Signal& c : x.channels) {
-    raw.push_back(echoimage::dsp::analytic_signal(c));
-    compressed.push_back(
-        echoimage::dsp::matched_filter_complex(raw.back(), chirp));
-    compressed.back().resize(600);
-  }
-  std::mt19937 gen(9);
-  std::normal_distribution<double> d(0.0, 1.0);
-  MultiChannelSignal noise;
-  noise.channels.assign(g.num_mics(), Signal(2048));
-  for (Signal& c : noise.channels)
-    for (double& v : c) v = d(gen);
-  const CMatrix noise_cov = noise_covariance_of(noise);
-  ChannelMask degraded(g.num_mics(), true);
-  degraded[1] = false;
-  degraded[4] = false;
-  const std::vector<std::pair<std::size_t, std::size_t>> gates = {
-      {0, 600}, {37, 144}, {300, 1}, {512, 88}, {520, 200}, {599, 5},
-      {600, 10}, {700, 50}, {10, 0}};
-  const std::vector<Direction> looks = {src, {2.0, 0.7}, {kPi, 1.5}};
+  const OracleScene scene;
+  const std::vector<Direction> looks = {scene.src, {2.0, 0.7}, {kPi, 1.5}};
   double worst = 0.0;
-  for (const std::vector<ComplexSignal>* chans : {&raw, &compressed}) {
-    for (const ChannelMask& mask : {ChannelMask{}, degraded}) {
-      const WeightSolver solver(g, noise_cov, kF0, kSpeedOfSoundMps, mask);
+  for (const std::vector<ComplexSignal>* chans :
+       {&scene.raw, &scene.compressed}) {
+    for (const ChannelMask& mask : {ChannelMask{}, scene.degraded}) {
+      const WeightSolver solver(scene.g, scene.noise_cov, kF0,
+                                kSpeedOfSoundMps, mask);
       std::vector<ComplexSignal> active;
       for (std::size_t c = 0; c < chans->size(); ++c)
         if (mask.empty() || mask[c]) active.push_back((*chans)[c]);
-      for (const auto& [first, count] : gates) {
+      for (const auto& [first, count] : scene.gates) {
         const CMatrix r = gate_covariance(active, first, count);
         ASSERT_EQ(r.rows(), active.size());
         double trace = 0.0;
@@ -233,6 +271,100 @@ TEST(Beamformer, GatedEnergyMatchesThePerSampleOracle) {
             EXPECT_LE(err, 1e-12)
                 << "gate " << first << "+" << count << " mvdr " << mvdr
                 << " masked " << !mask.empty();
+          }
+        }
+      }
+    }
+  }
+  std::ostringstream worst_text;
+  worst_text << worst;
+  RecordProperty("worst_relative_error", worst_text.str());
+}
+
+TEST(Beamformer, ClosedFormPixelEnergyMatchesTheWeightOracle) {
+  // The imager's pixel, e = (1 - mix) a^H B_g a / den^2 + mix * incoherent
+  // from the gate's packed form and the pixel's steering pairs on the
+  // subband ladder, against the weight path it replaced, e = (1 - mix)
+  // w^H R_g w + mix * incoherent with w from each band's compute_weights:
+  // MVDR and delay-and-sum, full and degraded arrays, pulse-compressed and
+  // raw gates, gates clipped at or starting past the window end, every
+  // band of a 5-band ladder, mix 0, 0.85 and 1. Bound: |closed - oracle|
+  // <= 1e-12 (1 - mix) |w|^2 tr(R_g), the scale of the quadratic form. An
+  // empty gate reads exactly zero, and at mix = 1 the coherent term is
+  // never formed, so both paths agree bit for bit.
+  const OracleScene scene;
+  // The imager's default ladder: five 200 Hz subbands of 2-3 kHz.
+  const std::size_t bands = 5;
+  const double f0 = 2100.0, df = 200.0;
+  const double k0 = 2.0 * kPi * f0 / kSpeedOfSound;
+  const double dk = 2.0 * kPi * df / kSpeedOfSound;
+  std::vector<Direction> looks = {scene.src, {2.0, 0.7}, {kPi, 1.5}};
+  for (double theta = 0.9; theta < 2.3; theta += 0.35)
+    for (double phi = 0.9; phi < 2.3; phi += 0.35)
+      looks.push_back({theta, phi});
+  double worst = 0.0;
+  std::vector<Complex> steering;
+  std::vector<double> pairs;
+  for (const ChannelMask& mask : {ChannelMask{}, scene.degraded}) {
+    const ArrayGeometry subarray = scene.g.subarray(mask);
+    std::vector<WeightSolver> solvers;
+    for (std::size_t b = 0; b < bands; ++b)
+      solvers.emplace_back(scene.g, scene.noise_cov,
+                           units::Hertz{f0 + df * static_cast<double>(b)},
+                           kSpeedOfSoundMps, mask);
+    for (const std::vector<ComplexSignal>* chans :
+         {&scene.raw, &scene.compressed}) {
+      std::vector<ComplexSignal> active;
+      for (std::size_t c = 0; c < chans->size(); ++c)
+        if (mask.empty() || mask[c]) active.push_back((*chans)[c]);
+      const std::size_t m = active.size();
+      std::vector<double> form(packed_form_size(m));
+      for (const auto& [first, count] : scene.gates) {
+        const CMatrix r = gate_covariance(active, first, count);
+        const double incoherent = incoherent_energy(active, first, count);
+        double trace = 0.0;
+        for (std::size_t i = 0; i < m; ++i) trace += r(i, i).real();
+        for (const Direction& look : looks) {
+          steering_ladder(subarray, line_of_sight(look), k0, dk, bands,
+                          steering);
+          for (std::size_t b = 0; b < bands; ++b) {
+            steering_pairs(steering.data() + b * m, m, pairs);
+            ASSERT_EQ(pairs.size(), m * (m - 1));
+            for (const bool mvdr : {true, false}) {
+              solvers[b].pack_gate_form(r, mvdr, form.data());
+              const double den = solvers[b].denominator(pairs, mvdr);
+              const double closed =
+                  packed_form_value(form.data(), pairs) / (den * den);
+              const std::vector<Complex> w = weights(solvers[b], look, mvdr);
+              double w2 = 0.0;
+              for (const Complex& v : w) w2 += std::norm(v);
+              const double oracle = gated_energy(r, w);
+              for (const double mix : {0.0, 0.85, 1.0}) {
+                // The imager's accumulation order, for either term.
+                const auto pixel = [&](double coherent) {
+                  double e = 0.0;
+                  if (mix < 1.0) e += (1.0 - mix) * coherent;
+                  if (mix > 0.0) e += mix * incoherent;
+                  return e;
+                };
+                const double got = pixel(closed);
+                const double want = pixel(oracle);
+                if (trace == 0.0 || mix == 1.0) {
+                  EXPECT_EQ(got, want) << "gate " << first << "+" << count;
+                  if (trace == 0.0) {
+                    EXPECT_EQ(got, 0.0);
+                  }
+                  continue;
+                }
+                const double err =
+                    std::abs(got - want) / ((1.0 - mix) * w2 * trace);
+                worst = std::max(worst, err);
+                EXPECT_LE(err, 1e-12)
+                    << "gate " << first << "+" << count << " band " << b
+                    << " mvdr " << mvdr << " masked " << !mask.empty()
+                    << " mix " << mix;
+              }
+            }
           }
         }
       }
@@ -326,7 +458,8 @@ TEST(Beamformer, PhysicallyRenderedEchoFavoursTrueDirection) {
   }
   const WeightSolver solver(make_respeaker_array(), white_noise_covariance(6),
                             kF0);
-  const Direction toward = direction_to_point(target);
+  const Direction toward{std::atan2(target.y, target.x),
+                         std::acos(target.z / target.norm())};
   const Direction mirror{toward.theta + kPi, toward.phi};
   const CMatrix r = gate_covariance(analytic_channels(echo), 0, echo.length());
   const double e_toward = gated_energy(r, weights(solver, toward, false));

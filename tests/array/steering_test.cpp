@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <numbers>
-#include <stdexcept>
 
 namespace echoimage::array {
 namespace {
@@ -13,27 +12,11 @@ using namespace echoimage::units::literals;
 
 constexpr double kPi = std::numbers::pi;
 
-TEST(Direction, ToPointRecoversSphericalAngles) {
-  // +x axis: theta = 0, phi = pi/2.
-  const Direction dx = direction_to_point(Vec3{1.0, 0.0, 0.0});
-  EXPECT_NEAR(dx.theta, 0.0, 1e-12);
-  EXPECT_NEAR(dx.phi, kPi / 2.0, 1e-12);
-  // +y axis: theta = pi/2.
-  const Direction dy = direction_to_point(Vec3{0.0, 2.0, 0.0});
-  EXPECT_NEAR(dy.theta, kPi / 2.0, 1e-12);
-  EXPECT_NEAR(dy.phi, kPi / 2.0, 1e-12);
-  // +z axis: phi = 0.
-  const Direction dz = direction_to_point(Vec3{0.0, 0.0, 3.0});
-  EXPECT_NEAR(dz.phi, 0.0, 1e-12);
-}
-
-TEST(Direction, OriginThrows) {
-  EXPECT_THROW((void)direction_to_point(Vec3{}), std::domain_error);
-}
-
 TEST(Direction, LineOfSightRoundTrip) {
+  // The spherical angles of a point (paper Fig. 1) map back to its unit
+  // vector.
   const Vec3 p{0.3, 0.8, 0.5};
-  const Direction d = direction_to_point(p);
+  const Direction d{std::atan2(p.y, p.x), std::acos(p.z / p.norm())};
   const Vec3 los = line_of_sight(d);
   const Vec3 unit = p.normalized();
   EXPECT_NEAR(los.x, unit.x, 1e-12);
