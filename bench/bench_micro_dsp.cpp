@@ -1,9 +1,10 @@
-// Micro-benchmarks of the DSP kernels the imager runs per beep, swept
-// across every ISA lane this machine supports (forced via
+// Micro-benchmarks of the DSP kernels the imager and the CNN run per
+// capture, swept across every ISA lane this machine supports (forced via
 // simd::ScopedIsa), with the scalar lane as the baseline. The gate
-// covariance, its packed form, the closed-form pixel and the incoherent
-// energy are plain scalar code outside the kernel table, so their rows
-// read the same on every lane. For each kernel x
+// covariance, the sweep row and the convolution row dispatch through the
+// kernel table (the SSE2 lane reuses the scalar entries for all three);
+// the packed form and the incoherent energy are plain scalar code outside
+// it, so their rows read the same on every lane. For each kernel x
 // lane the harness reports ns/op and the speedup over scalar, and
 // cross-checks that the lane reproduced the scalar output bit for bit — a
 // benchmark that quietly measured different numbers would be worthless.
@@ -20,6 +21,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <numbers>
 #include <random>
 #include <string>
@@ -33,7 +35,9 @@
 #include "dsp/hilbert.hpp"
 #include "dsp/matched_filter.hpp"
 #include "eval/table.hpp"
+#include "ml/cnn.hpp"
 #include "simd/isa.hpp"
+#include "simd/kernels.hpp"
 
 namespace {
 
@@ -153,10 +157,13 @@ std::vector<Kernel> make_kernels() {
 
   // The sweep's energy terms on 6 channels x 2880 snapshots: the gate
   // covariance R_g of one 144-sample gate (a +/-1.5 ms range gate at
-  // 48 kHz; formed once per distinct gate, band and beep), its packed MVDR
-  // form B_g = (R^-1)^H R_g R^-1 (built right after it), one pixel's
-  // closed-form energy a^H B_g a / (a^H R^-1 a)^2 over 5 bands and 2 beeps
-  // (once per pixel), and the incoherent energy over the whole window.
+  // 48 kHz; formed once per distinct gate, band and beep) from the
+  // window's per-sample products, its packed MVDR form
+  // B_g = (R^-1)^H R_g R^-1 (built right after it), one 180-pixel sweep
+  // row over 5 bands and 2 beeps (the pixels' gates follow their distance
+  // across a paper-scale row; the ladder roots are formed outside the
+  // timed call, as the imager does before each row's kernel call), and
+  // the incoherent energy over the whole window.
   {
     const std::size_t len = 2880, m = 6, gate = 144, bands = 5, beeps = 2;
     std::vector<dsp::ComplexSignal> chans(m);
@@ -173,53 +180,120 @@ std::vector<Kernel> make_kernels() {
       solvers.emplace_back(
           array::make_respeaker_array(), noise_cov,
           units::Hertz{2100.0 + 200.0 * static_cast<double>(b)});
-    kernels.push_back({"gate_covariance", m * gate, [chans, gate]() {
-                         const auto r =
-                             array::gate_covariance(chans, 1000, gate);
+    const auto products = std::make_shared<array::GateProducts>(chans);
+    kernels.push_back({"gate_covariance", m * gate, [products, gate]() {
+                         const auto r = products->covariance(1000, gate);
                          return digest(
                              reinterpret_cast<const double*>(r.data().data()),
                              2 * r.data().size());
                        }});
     const std::size_t form_size = array::packed_form_size(m);
-    const auto r = array::gate_covariance(chans, 1000, gate);
+    const auto r = products->covariance(1000, gate);
     kernels.push_back({"packed_gate_form", m * m, [solvers, r, form_size]() {
                          std::vector<double> form(form_size);
                          solvers.front().pack_gate_form(r, true, form.data());
                          return digest(form.data(), form.size());
                        }});
-    // Each (band, beep) slot's form, from a gate of its own.
-    std::vector<double> forms(bands * beeps * form_size);
-    for (std::size_t slot = 0; slot < bands * beeps; ++slot)
-      solvers[slot / beeps].pack_gate_form(
-          array::gate_covariance(chans, 1000 + 100 * slot, gate), true,
-          forms.data() + slot * form_size);
-    const array::Vec3 unit = array::Vec3{0.1, 0.7, 0.2}.normalized();
+    // The row: pixel p of a 180-pixel row of the 1 cm grid, 0.7 m away,
+    // 0.3 m off the array's axis; its gate is its round-trip delay in
+    // samples past the row's nearest pixel. Each (beep, band) slot packs
+    // one form per gate from a gate covariance of its own.
+    const std::size_t pixels = 180;
     const array::ArrayGeometry geom = array::make_respeaker_array();
     const double k0 = 2.0 * std::numbers::pi * 2100.0 / array::kSpeedOfSound;
     const double dk = 2.0 * std::numbers::pi * 200.0 / array::kSpeedOfSound;
+    std::vector<std::uint32_t> gates(pixels);
+    std::vector<double> base(pixels * 2 * m), step(pixels * 2 * m);
+    std::vector<double> delays(pixels);
+    for (std::size_t p = 0; p < pixels; ++p) {
+      const array::Vec3 point{0.01 * (static_cast<double>(p) - 89.5), 0.7,
+                              0.3};
+      delays[p] = 2.0 * point.norm() / array::kSpeedOfSound * 48000.0;
+      array::ladder_roots(geom, point.normalized(), k0, dk, bands,
+                          base.data() + p * 2 * m, step.data() + p * 2 * m);
+    }
+    const double nearest = *std::min_element(delays.begin(), delays.end());
+    for (std::size_t p = 0; p < pixels; ++p)
+      gates[p] = static_cast<std::uint32_t>(std::lround(delays[p] - nearest));
+    const std::size_t num_gates =
+        *std::max_element(gates.begin(), gates.end()) + 1;
+    std::vector<std::vector<double>> forms(
+        bands * beeps, std::vector<double>(num_gates * form_size));
+    std::vector<std::vector<double>> incoherent(
+        bands * beeps, std::vector<double>(num_gates));
+    for (std::size_t slot = 0; slot < bands * beeps; ++slot) {
+      for (std::size_t g = 0; g < num_gates; ++g) {
+        const std::size_t first = 200 + 7 * slot + 3 * g;
+        solvers[slot % bands].pack_gate_form(
+            products->covariance(first, gate), true,
+            forms[slot].data() + g * form_size);
+        incoherent[slot][g] = array::incoherent_energy(chans, first, gate);
+      }
+    }
     kernels.push_back(
-        {"closed_form_pixel", bands * beeps, [solvers, forms, geom, unit, k0,
-                                              dk, m, beeps, form_size]() {
-           std::vector<Complex> steering;
-           std::vector<double> pairs;
-           array::steering_ladder(geom, unit, k0, dk, solvers.size(),
-                                  steering);
-           double e = 0.0;
-           for (std::size_t b = 0; b < solvers.size(); ++b) {
-             array::steering_pairs(steering.data() + b * m, m, pairs);
-             const double den = solvers[b].denominator(pairs, true);
-             for (std::size_t beep = 0; beep < beeps; ++beep)
-               e += array::packed_form_value(
-                        forms.data() + (b * beeps + beep) * form_size,
-                        pairs) /
-                    (den * den);
+        {"closed_form_row", pixels * bands * beeps,
+         [solvers, forms, incoherent, gates, base, step, m, pixels]() {
+           const std::size_t slots = forms.size();
+           std::vector<const double*> inverse, form_ptrs, inc_ptrs;
+           for (const array::WeightSolver& s : solvers)
+             inverse.push_back(s.packed_inverse());
+           for (std::size_t slot = 0; slot < slots; ++slot) {
+             form_ptrs.push_back(forms[slot].data());
+             inc_ptrs.push_back(incoherent[slot].data());
            }
-           return std::bit_cast<std::uint64_t>(e);
+           std::vector<double> energy(slots * pixels, 0.0);
+           std::vector<double*> out;
+           for (std::size_t slot = 0; slot < slots; ++slot)
+             out.push_back(energy.data() + slot * pixels);
+           simd::SweepRow row;
+           row.pixels = pixels;
+           row.mics = m;
+           row.bands = solvers.size();
+           row.beeps = slots / solvers.size();
+           row.base = base.data();
+           row.step = step.data();
+           row.gate = gates.data();
+           row.inverse = inverse.data();
+           row.forms = form_ptrs.data();
+           row.incoherent = inc_ptrs.data();
+           row.out = out.data();
+           row.mix = 0.85;
+           simd::kernels().closed_form_row_f64(row);
+           return digest(energy.data(), energy.size());
          }});
     kernels.push_back({"incoherent_energy", m * len, [chans, len]() {
                          const double e =
                              array::incoherent_energy(chans, 0, len);
                          return std::bit_cast<std::uint64_t>(e);
+                       }});
+  }
+
+  // The CNN: one output row of the default extractor's second layer (8 to
+  // 16 channels over a 24-wide map, the conv kernel's unit of work), and
+  // one whole 48x48 extract (four conv blocks, activations and pooling).
+  {
+    const std::size_t width = 24, in = 8, out = 16;
+    std::mt19937 gen(6);
+    std::normal_distribution<double> d(0.0, 1.0);
+    std::vector<double> input(3 * width * in), weights(9 * in * out),
+        bias(out, 0.0);
+    for (double& v : input) v = d(gen) < -0.5 ? 0.0 : d(gen);
+    for (double& v : weights) v = d(gen);
+    kernels.push_back(
+        {"conv3x3_row", width * out, [input, weights, bias, width]() {
+           const simd::Conv3x3 conv{input.data(), 3,   width,      in,
+                                    out,          weights.data(), bias.data()};
+           std::vector<double> y(width * out);
+           simd::kernels().conv3x3_row_f64(conv, 1, y.data());
+           return digest(y.data(), y.size());
+         }});
+    ml::Matrix2D image(48, 48);
+    for (double& v : image.data()) v = std::abs(d(gen));
+    const auto extractor = std::make_shared<ml::VggishFeatureExtractor>();
+    kernels.push_back({"cnn_extract_48", 48 * 48, [extractor, image]() {
+                         const std::vector<double> f =
+                             extractor->extract(image);
+                         return digest(f.data(), f.size());
                        }});
   }
 

@@ -253,28 +253,57 @@ int main(int argc, char** argv) {
               << (lanes_ok ? "PASS" : "FAIL") << '\n';
   }
 
-  // --- Paper-scale entry: one 180x180 image at the paper's full band
-  // count, best lane + all hardware threads. This is the
-  // configuration the SIMD port exists to make tractable; one image keeps
-  // the entry honest without dominating the smoke run.
-  double paper_s = 0.0;
-  const std::size_t paper_threads = std::max(1u, hw);
+  // --- Paper-scale entry: 180x180 images at the paper's full band count
+  // on the best lane, with every hardware thread and with one worker.
+  // Each configuration renders once to warm up, then kPaperRuns timed
+  // images (cycling through the batch's beeps), and reports the median
+  // and the range: one render alone swung 2x between runs on one host.
+  struct PaperRow {
+    std::size_t threads = 1;
+    double median_s = 0.0, min_s = 0.0, max_s = 0.0;
+  };
+  const std::size_t kPaperRuns = smoke ? 3 : 9;
+  std::vector<PaperRow> paper_rows;
   if (run_paper) {
-    core::ImagingConfig cfg = base;
-    cfg.grid_size = 180;
-    cfg.grid_spacing_m = 0.01;  // paper Sec. V-C: 180x180 of 1 cm
-    cfg.num_subbands = 5;
-    cfg.num_threads = paper_threads;
-    const core::AcousticImager imager(cfg, geometry);
-    const auto start = std::chrono::steady_clock::now();
-    (void)imager.construct_bands(batch.beeps[0], echoimage::units::Meters{0.7},
-                                 0.0002, batch.noise_only);
-    paper_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count();
+    std::vector<std::size_t> paper_threads{std::max(1u, hw)};
+    if (paper_threads.front() > 1) paper_threads.push_back(1);
+    std::vector<std::vector<std::string>> paper_table;
+    for (const std::size_t threads : paper_threads) {
+      core::ImagingConfig cfg = base;
+      cfg.grid_size = 180;
+      cfg.grid_spacing_m = 0.01;  // paper Sec. V-C: 180x180 of 1 cm
+      cfg.num_subbands = 5;
+      cfg.num_threads = threads;
+      const core::AcousticImager imager(cfg, geometry);
+      (void)imager.construct_bands(batch.beeps[0],
+                                   echoimage::units::Meters{0.7}, 0.0002,
+                                   batch.noise_only);  // warm-up
+      std::vector<double> runs;
+      for (std::size_t r = 0; r < kPaperRuns; ++r) {
+        const auto start = std::chrono::steady_clock::now();
+        (void)imager.construct_bands(batch.beeps[r % batch.beeps.size()],
+                                     echoimage::units::Meters{0.7}, 0.0002,
+                                     batch.noise_only);
+        runs.push_back(std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+      }
+      std::sort(runs.begin(), runs.end());
+      PaperRow row;
+      row.threads = threads;
+      row.median_s = runs[runs.size() / 2];
+      row.min_s = runs.front();
+      row.max_s = runs.back();
+      paper_rows.push_back(row);
+      paper_table.push_back({std::to_string(threads), eval::fmt(row.median_s),
+                             eval::fmt(row.min_s), eval::fmt(row.max_s)});
+    }
     std::cout << "\n-- paper scale (180x180, 5 bands, "
-              << simd::isa_name(simd::active_isa()) << ", " << paper_threads
-              << " thread(s)) --\n" << eval::fmt(paper_s) << " s/image\n";
+              << simd::isa_name(simd::active_isa()) << ", median of "
+              << kPaperRuns << " images) --\n";
+    eval::print_table(std::cout,
+                      {"threads", "median s/image", "min s", "max s"},
+                      paper_table);
   }
 
   std::ofstream json("BENCH_throughput.json");
@@ -303,8 +332,15 @@ int main(int argc, char** argv) {
          << (i + 1 < lane_results.size() ? "," : "") << "\n";
   }
   json << "    ],\n    \"paper_scale\": {\"grid_size\": 180, "
-       << "\"num_subbands\": 5, \"threads\": " << paper_threads
-       << ", \"seconds_per_image\": " << paper_s << "}\n  },\n";
+       << "\"num_subbands\": 5, \"runs\": " << kPaperRuns
+       << ", \"rows\": [";
+  for (std::size_t i = 0; i < paper_rows.size(); ++i) {
+    const PaperRow& r = paper_rows[i];
+    json << (i > 0 ? ", " : "") << "{\"threads\": " << r.threads
+         << ", \"median_seconds_per_image\": " << r.median_s
+         << ", \"min_s\": " << r.min_s << ", \"max_s\": " << r.max_s << "}";
+  }
+  json << "]}\n  },\n";
   json << "  \"determinism_pass\": " << json_bool(deterministic)
        << ",\n  \"lane_pass\": " << json_bool(lanes_ok)
        << ",\n  \"scaling_pass\": "

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "dsp/hilbert.hpp"
+#include "simd/kernels.hpp"
 
 namespace echoimage::array {
 
@@ -38,18 +39,16 @@ ComplexSignal apply_weights(const std::vector<ComplexSignal>& channels,
 
 namespace {
 
-/// Common length of a gate statistic's channels, clipped `last` of
-/// [first, first+count) within it.
-std::size_t clipped_last(const std::vector<ComplexSignal>& channels,
-                         std::size_t first, std::size_t count,
-                         const char* what) {
+/// Common length of a gate statistic's channels.
+std::size_t common_length(const std::vector<ComplexSignal>& channels,
+                          const char* what) {
   if (channels.empty())
     throw std::invalid_argument(std::string(what) + ": no channels");
   const std::size_t length = channels.front().size();
   for (const ComplexSignal& c : channels)
     if (c.size() != length)
       throw std::invalid_argument(std::string(what) + ": ragged channels");
-  return std::min(length, first + count);
+  return length;
 }
 
 }  // namespace
@@ -123,7 +122,7 @@ void WeightSolver::pack_gate_form(const CMatrix& gate_covariance,
   }
   // Column by column: t = R_g q_j for the j-th column q_j of R^-1, then
   // B_ij = sum_k conj(R^-1_ki) t_k for i <= j, k ascending. Products are
-  // spelled out in real arithmetic, as in `gate_covariance`.
+  // spelled out in real arithmetic, as in `GateProducts`.
   const Complex* q = noise_cov_inv_.data().data();
   std::vector<double> t(2 * m);
   double trace = 0.0;
@@ -158,52 +157,18 @@ void WeightSolver::pack_gate_form(const CMatrix& gate_covariance,
   out[0] = trace;
 }
 
-double WeightSolver::denominator(const std::vector<double>& pairs,
-                                 bool use_mvdr) const {
-  return use_mvdr ? packed_form_value(packed_inverse_.data(), pairs) : 1.0;
-}
-
-void steering_ladder(const ArrayGeometry& geom, const Vec3& unit, double k0,
-                     double dk, std::size_t bands, std::vector<Complex>& out) {
-  const std::size_t m = geom.num_mics();
-  out.resize(bands * m);
-  for (std::size_t i = 0; i < m; ++i) {
+void ladder_roots(const ArrayGeometry& geom, const Vec3& unit, double k0,
+                  double dk, std::size_t bands, double* base, double* step) {
+  for (std::size_t i = 0; i < geom.num_mics(); ++i) {
     const double along = unit.dot(geom.mic(i));
     const double phase = k0 * along;
-    double re = std::cos(phase), im = std::sin(phase);
-    out[i] = Complex(re, im);
+    base[2 * i] = std::cos(phase);
+    base[2 * i + 1] = std::sin(phase);
     if (bands < 2) continue;
-    const double step = dk * along;
-    const double step_re = std::cos(step), step_im = std::sin(step);
-    for (std::size_t b = 1; b < bands; ++b) {
-      const double next_re = re * step_re - im * step_im;
-      im = re * step_im + im * step_re;
-      re = next_re;
-      out[b * m + i] = Complex(re, im);
-    }
+    const double ladder_step = dk * along;
+    step[2 * i] = std::cos(ladder_step);
+    step[2 * i + 1] = std::sin(ladder_step);
   }
-}
-
-void steering_pairs(const Complex* steering, std::size_t m,
-                    std::vector<double>& pairs) {
-  pairs.resize(m * (m - 1));
-  double* p = pairs.data();
-  for (std::size_t i = 0; i < m; ++i) {
-    const double ci = steering[i].real(), si = steering[i].imag();
-    for (std::size_t j = i + 1; j < m; ++j) {
-      const double cj = steering[j].real(), sj = steering[j].imag();
-      *p++ = ci * cj + si * sj;
-      *p++ = ci * sj - si * cj;
-    }
-  }
-}
-
-double packed_form_value(const double* form,
-                         const std::vector<double>& pairs) {
-  double q = 0.0;
-  for (std::size_t p = 0; p < pairs.size(); p += 2)
-    q += form[1 + p] * pairs[p] - form[2 + p] * pairs[p + 1];
-  return form[0] + 2.0 * q;
 }
 
 CMatrix noise_covariance_of(const MultiChannelSignal& noise) {
@@ -216,26 +181,40 @@ CMatrix noise_covariance_of(const MultiChannelSignal& noise) {
   return normalized_covariance(analytic, 0, noise.length());
 }
 
-CMatrix gate_covariance(const std::vector<ComplexSignal>& channels,
-                        std::size_t first, std::size_t count) {
-  const std::size_t last =
-      clipped_last(channels, first, count, "gate_covariance");
-  const std::size_t m = channels.size();
-  CMatrix r(m, m);
-  if (first >= last) return r;
+GateProducts::GateProducts(const std::vector<ComplexSignal>& channels)
+    : mics_(channels.size()),
+      length_(common_length(channels, "GateProducts")) {
+  const std::size_t m = mics_;
+  width_ = (m * (m + 1) + 3) / 4 * 4;
+  terms_.assign(length_ * width_, 0.0);
   // x_i conj(x_j) spelled out in real arithmetic: the same roundings as
   // the std::complex product, without its NaN-recovery branch.
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = i; j < m; ++j) {
-      const Complex* xi = channels[i].data();
-      const Complex* xj = channels[j].data();
-      double re = 0.0, im = 0.0;
-      for (std::size_t t = first; t < last; ++t) {
-        re += xi[t].real() * xj[t].real() + xi[t].imag() * xj[t].imag();
-        im += xi[t].imag() * xj[t].real() - xi[t].real() * xj[t].imag();
+  for (std::size_t t = 0; t < length_; ++t) {
+    double* row = terms_.data() + t * width_;
+    for (std::size_t i = 0; i < m; ++i) {
+      const Complex xi = channels[i][t];
+      for (std::size_t j = i; j < m; ++j) {
+        const Complex xj = channels[j][t];
+        *row++ = xi.real() * xj.real() + xi.imag() * xj.imag();
+        *row++ = xi.imag() * xj.real() - xi.real() * xj.imag();
       }
-      r(i, j) = Complex(re, im);
-      if (j != i) r(j, i) = Complex(re, -im);
+    }
+  }
+}
+
+CMatrix GateProducts::covariance(std::size_t first, std::size_t count) const {
+  const std::size_t m = mics_;
+  const std::size_t last = std::min(length_, first + count);
+  CMatrix r(m, m);
+  if (first >= last) return r;
+  std::vector<double> sums(width_);
+  echoimage::simd::kernels().gate_sums_f64(terms_.data(), width_, first,
+                                           last, sums.data());
+  const double* s = sums.data();
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = i; j < m; ++j, s += 2) {
+      r(i, j) = Complex(s[0], s[1]);
+      if (j != i) r(j, i) = Complex(s[0], -s[1]);
     }
   }
   return r;
@@ -243,8 +222,8 @@ CMatrix gate_covariance(const std::vector<ComplexSignal>& channels,
 
 double incoherent_energy(const std::vector<ComplexSignal>& channels,
                          std::size_t first, std::size_t count) {
-  const std::size_t last =
-      clipped_last(channels, first, count, "incoherent_energy");
+  const std::size_t last = std::min(
+      common_length(channels, "incoherent_energy"), first + count);
   if (first >= last) return 0.0;
   double e = 0.0;
   for (const ComplexSignal& x : channels)

@@ -6,10 +6,12 @@
 // only on the band's noise covariance, the surviving subarray and the look
 // direction: a WeightSolver holds the first two and solves any direction.
 // A gate's statistics depend only on the active channels' samples: the gate
-// covariance R_g and the incoherent energy are free functions over them.
-// The distance estimator applies one fixed-direction weight vector to every
-// beep (`apply_weights`). The imager never solves a weight: it reads each
-// pixel's steered gate energy w^H R_g w in closed form (below).
+// covariance R_g (from a window's per-sample products, `GateProducts`) and
+// the incoherent energy. The distance estimator applies one
+// fixed-direction weight vector to every beep (`apply_weights`). The
+// imager never solves a weight: it reads each pixel's steered gate energy
+// w^H R_g w in closed form (below), through the kernels of simd/kernels.hpp:
+// the gate sums behind each R_g and the sweep row.
 #pragma once
 
 #include <cstddef>
@@ -71,11 +73,11 @@ class WeightSolver {
   void pack_gate_form(const CMatrix& gate_covariance, bool use_mvdr,
                       double* out) const;
 
-  /// The pixel's denominator from its steering pair products (see
-  /// `steering_pairs`): a^H R^-1 a for MVDR, read from the Hermitian part
-  /// of R^-1; 1 for delay-and-sum.
-  [[nodiscard]] double denominator(const std::vector<double>& pairs,
-                                   bool use_mvdr) const;
+  /// Packed form (see `packed_form_size`) of the Hermitian part of R^-1:
+  /// a pixel's MVDR denominator a^H R^-1 a is its value.
+  [[nodiscard]] const double* packed_inverse() const {
+    return packed_inverse_.data();
+  }
 
  private:
   ArrayGeometry geom_;      ///< the (possibly reduced) subarray
@@ -86,23 +88,41 @@ class WeightSolver {
   units::MetersPerSecond speed_of_sound_;
 };
 
-/// Gate covariance R_g = sum_t x(t) x(t)^H over the samples of
-/// [first, first+count) inside the channels (an empty range gives zeros):
-/// R_g[i][j] = sum_t x_i(t) conj(x_j(t)) summed in ascending t for j >= i,
-/// and R_g[j][i] = conj(R_g[i][j]). `channels` are the active channels'
-/// windows, all of one length. Every pixel sharing the gate reads its
-/// steered energy from this one matrix, through its packed form (see
-/// `packed_form_size`). Throws
-/// std::invalid_argument on no channels or ragged ones.
-[[nodiscard]] CMatrix gate_covariance(
-    const std::vector<echoimage::dsp::ComplexSignal>& channels,
-    std::size_t first, std::size_t count);
+/// Every sample's products x_i(t) conj(x_j(t)), j >= i, of a window's
+/// active channels, formed once so that each gate over the window sums
+/// them instead of forming them again: a product rounds the same whichever
+/// gate sums it. Row t holds (re, im) = (xr_i xr_j + xi_i xi_j,
+/// xi_i xr_j - xr_i xi_j) for each pair, i ascending and j from i,
+/// padded with zeros to a multiple of four doubles. About 0.13 MB for a
+/// paper-scale window of six channels.
+class GateProducts {
+ public:
+  /// `channels` are the active channels' windows, all of one length.
+  /// Throws std::invalid_argument on no channels or ragged ones.
+  explicit GateProducts(
+      const std::vector<echoimage::dsp::ComplexSignal>& channels);
+
+  /// Gate covariance R_g = sum_t x(t) x(t)^H over the samples of
+  /// [first, first+count) inside the window (an empty range gives
+  /// zeros): R_g[i][j] sums row entries in ascending t for j >= i
+  /// (simd gate_sums_f64), and R_g[j][i] = conj(R_g[i][j]). Every pixel
+  /// sharing the gate reads its steered energy from this one matrix,
+  /// through its packed form (see `packed_form_size`).
+  [[nodiscard]] CMatrix covariance(std::size_t first,
+                                   std::size_t count) const;
+
+ private:
+  std::size_t mics_ = 0;
+  std::size_t length_ = 0;
+  std::size_t width_ = 0;       ///< doubles per row
+  std::vector<double> terms_;   ///< length_ rows of width_
+};
 
 /// Incoherent (phase-free) energy: mean over the channels of each one's
 /// energy in [first, first+count), channels outer and samples inner, both
 /// ascending. Direction-free — pure range information, immune to
 /// inter-channel phase (speckle) flips. Same input contract as
-/// `gate_covariance`.
+/// `GateProducts`.
 [[nodiscard]] double incoherent_energy(
     const std::vector<echoimage::dsp::ComplexSignal>& channels,
     std::size_t first, std::size_t count);
@@ -121,27 +141,17 @@ class WeightSolver {
   return 1 + m * (m - 1);
 }
 
-/// Steering vectors toward the unit vector `unit` on the microphones of
-/// `geom` at the evenly spaced wavenumbers k_b = k0 + b dk (rad/m), b = 0,
-/// ..., bands - 1, band after band into `out` (bands x M): a_m(b) =
+/// The roots of the steering ladder toward the unit vector `unit` on the
+/// microphones of `geom`, at the evenly spaced wavenumbers k_b = k0 + b dk
+/// (rad/m): band 0's steering vector base_m = exp(j k0 unit . p_m) and the
+/// step step_m = exp(j dk unit . p_m), each (re, im) per microphone into
+/// 2M doubles (the step only when bands > 1). Band b's vector a_m(b) =
 /// exp(j k_b unit . p_m), the vector `WeightSolver::compute_weights` steers
-/// toward a direction whose `line_of_sight` is `unit`. Band 0 and the step
-/// exp(j dk unit . p_m) come from cos and sin; each further band is the
-/// previous one times the step, one complex product per microphone.
-void steering_ladder(const ArrayGeometry& geom, const Vec3& unit, double k0,
-                     double dk, std::size_t bands, std::vector<Complex>& out);
-
-/// Pair products conj(a_i) a_j of the M-entry steering vector at
-/// `steering`, written into `pairs` (resized to M(M-1) doubles: (re, im)
-/// per pair, i < j row by row).
-void steering_pairs(const Complex* steering, std::size_t m,
-                    std::vector<double>& pairs);
-
-/// a^H B a from B's packed form (packed_form_size(M) doubles) and a's
-/// pair products: tr(B) + 2 q, with q = sum Re(B_ij conj(a_i) a_j) summed
-/// in pair order. A zero form reads exactly zero.
-[[nodiscard]] double packed_form_value(const double* form,
-                                       const std::vector<double>& pairs);
+/// toward a direction whose `line_of_sight` is `unit`, is band b - 1's
+/// times the step, one complex product per microphone: the sweep kernel
+/// (simd closed_form_row_f64) climbs the ladder.
+void ladder_roots(const ArrayGeometry& geom, const Vec3& unit, double k0,
+                  double dk, std::size_t bands, double* base, double* step);
 
 /// Normalized spatial covariance of a (band-passed) noise-only capture:
 /// analytic signal per channel, sample covariance over the full length.

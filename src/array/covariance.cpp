@@ -11,18 +11,27 @@ CMatrix spatial_covariance(const std::vector<ComplexSignal>& channels,
   if (count == 0)
     throw std::invalid_argument("spatial_covariance: empty snapshot range");
   const std::size_t m = channels.size();
+  const auto sample = [&](std::size_t c, std::size_t t) {
+    return t < channels[c].size() ? channels[c][t] : Complex(0.0, 0.0);
+  };
+  // R[i][j] = sum_t x_i(t) conj(x_j(t)) for j >= i in ascending t, the
+  // product spelled out in real arithmetic with the roundings of the
+  // std::complex product. The mirror R[j][i] takes 0.0 - im, not -im:
+  // the conjugate product sums to +0 where the upper entry does.
   CMatrix r(m, m);
-  std::vector<Complex> x(m);
-  for (std::size_t t = first; t < first + count; ++t) {
-    for (std::size_t c = 0; c < m; ++c)
-      x[c] = t < channels[c].size() ? channels[c][t] : Complex(0.0, 0.0);
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t j = 0; j < m; ++j)
-        r(i, j) += x[i] * std::conj(x[j]);
-  }
   const double inv_n = 1.0 / static_cast<double>(count);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < m; ++j) r(i, j) *= inv_n;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = i; j < m; ++j) {
+      double re = 0.0, im = 0.0;
+      for (std::size_t t = first; t < first + count; ++t) {
+        const Complex xi = sample(i, t), xj = sample(j, t);
+        re += xi.real() * xj.real() + xi.imag() * xj.imag();
+        im += xi.imag() * xj.real() - xi.real() * xj.imag();
+      }
+      r(i, j) = Complex(re * inv_n, im * inv_n);
+      if (j != i) r(j, i) = Complex(re * inv_n, (0.0 - im) * inv_n);
+    }
+  }
   return r;
 }
 

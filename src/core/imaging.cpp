@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <numbers>
 #include <optional>
 #include <stdexcept>
@@ -13,6 +12,7 @@
 #include "dsp/hilbert.hpp"
 #include "dsp/matched_filter.hpp"
 #include "runtime/parallel_for.hpp"
+#include "simd/kernels.hpp"
 
 namespace echoimage::core {
 
@@ -91,7 +91,8 @@ void AcousticImager::attach_observability(
 
 AcousticImager::GateTable::GateTable(const ImagingConfig& config,
                                      units::Meters plane_distance,
-                                     double tau_direct_s, double tau_echo_s)
+                                     double tau_direct_s, double tau_echo_s,
+                                     echoimage::runtime::ThreadPool* pool)
     : pixel_gate(config.grid_size * config.grid_size) {
   const double plane_distance_m = plane_distance.value();
   const double gate_extra = config.chirp.duration.value();  // echo smear
@@ -99,28 +100,49 @@ AcousticImager::GateTable::GateTable(const ImagingConfig& config,
   // Echoes from grid k: the compressed pulse peaks at the onset 2 Dk/c;
   // without compression the raw chirp occupies a further chirp-length of
   // samples. With echo anchoring the gate tracks the measured echo time,
-  // cancelling constant detection bias.
+  // cancelling constant detection bias. Each pixel's (first, count) key,
+  // one task per grid row.
   const bool anchored = config.anchor_to_echo && tau_echo_s >= 0.0;
-  std::map<std::pair<std::size_t, std::size_t>, std::uint32_t> seen;
-  for (std::size_t k = 0; k < pixel_gate.size(); ++k) {
-    const double dk = grid_center(config, k / config.grid_size,
-                                  k % config.grid_size, plane_distance_m)
-                          .norm();
-    const double onset =
-        anchored ? tau_echo_s + 2.0 * (dk - plane_distance_m) / speed
-                 : tau_direct_s + 2.0 * dk / speed;
-    const double t0 = onset - config.gate_halfwidth_s;
-    const double t1 = onset + config.gate_halfwidth_s +
-                      (config.pulse_compression ? 0.0 : gate_extra);
-    const std::size_t first = echoimage::dsp::seconds_to_samples(
-        std::max(0.0, t0), config.sample_rate);
-    const std::size_t last = echoimage::dsp::seconds_to_samples(
-        std::max(0.0, t1), config.sample_rate);
-    const auto [it, fresh] =
-        seen.try_emplace({first, last > first ? last - first : 0},
-                         static_cast<std::uint32_t>(gates.size()));
-    if (fresh) gates.push_back(it->first);
-    pixel_gate[k] = it->second;
+  const std::size_t grid = config.grid_size;
+  std::vector<std::pair<std::size_t, std::size_t>> keys(pixel_gate.size());
+  echoimage::runtime::parallel_for(
+      pool, grid, [&](std::size_t row, std::size_t) {
+        for (std::size_t col = 0; col < grid; ++col) {
+          const double dk =
+              grid_center(config, row, col, plane_distance_m).norm();
+          const double onset =
+              anchored ? tau_echo_s + 2.0 * (dk - plane_distance_m) / speed
+                       : tau_direct_s + 2.0 * dk / speed;
+          const double t0 = onset - config.gate_halfwidth_s;
+          const double t1 = onset + config.gate_halfwidth_s +
+                            (config.pulse_compression ? 0.0 : gate_extra);
+          const std::size_t first = echoimage::dsp::seconds_to_samples(
+              std::max(0.0, t0), config.sample_rate);
+          const std::size_t last = echoimage::dsp::seconds_to_samples(
+              std::max(0.0, t1), config.sample_rate);
+          keys[row * grid + col] = {first, last > first ? last - first : 0};
+        }
+      });
+  // Distinct keys in first-seen pixel order. `head` holds, per first
+  // sample, the first gate starting there; `next` chains the gates that
+  // share a first sample but differ in count.
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  std::size_t min_first = keys.front().first, max_first = min_first;
+  for (const auto& key : keys) {
+    min_first = std::min(min_first, key.first);
+    max_first = std::max(max_first, key.first);
+  }
+  std::vector<std::uint32_t> head(max_first - min_first + 1, kNone);
+  std::vector<std::uint32_t> next;
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    std::uint32_t* link = &head[keys[k].first - min_first];
+    while (*link != kNone && gates[*link] != keys[k]) link = &next[*link];
+    if (*link == kNone) {
+      *link = static_cast<std::uint32_t>(gates.size());
+      gates.push_back(keys[k]);
+      next.push_back(kNone);
+    }
+    pixel_gate[k] = *link;
   }
   window_first = gates.front().first;
   for (const auto& [first, count] : gates) {
@@ -155,8 +177,8 @@ AcousticImager::CaptureContext AcousticImager::capture_context(
   if (plane_distance.value() <= 0.0)
     throw std::invalid_argument("AcousticImager: plane distance must be > 0");
   EI_SPAN(obs::Observability::tracer_of(obs_.get()), "imaging.capture");
-  CaptureContext context(
-      GateTable(config_, plane_distance, tau_direct_s, tau_echo_s));
+  CaptureContext context(GateTable(config_, plane_distance, tau_direct_s,
+                                   tau_echo_s, pool_.get()));
   context.plane_distance_m_ = plane_distance.value();
   context.tau_direct_s_ = tau_direct_s;
   context.active_mask_ = active_mask;
@@ -337,8 +359,10 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
   // Region 2, per (beep, band): per distinct gate, the direction-free
   // incoherent energy and the packed form of the gate's numerator matrix
   // B_g (array::packed_form_size), which is all the sweep needs of the
-  // beep. Each gate covariance R_g lives only until its form is packed,
-  // and each task frees its windows when its terms are done.
+  // beep. The window's per-sample products are formed once per task and
+  // each gate covariance R_g sums its rows of them; R_g lives only until
+  // its form is packed, and each task frees its windows and products when
+  // its terms are done.
   const std::size_t form_size =
       echoimage::array::packed_form_size(active.size());
   struct GateTerms {
@@ -362,11 +386,12 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
         if (mix < 1.0) {
           const echoimage::array::WeightSolver& solver =
               context.solvers_[slot % num_bands];
+          const echoimage::array::GateProducts products(x);
           t.forms.resize(num_gates * form_size);
           for (std::size_t g = 0; g < num_gates; ++g)
             solver.pack_gate_form(
-                echoimage::array::gate_covariance(
-                    x, gates.gates[g].first - first, gates.gates[g].second),
+                products.covariance(gates.gates[g].first - first,
+                                    gates.gates[g].second),
                 config_.use_mvdr, t.forms.data() + g * form_size);
         }
         windows[slot] = {};
@@ -375,15 +400,17 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
   beep_spans.clear();
 
   // Region 3, per grid row across every band and beep: each pixel's unit
-  // direction and its steering vectors on the subband ladder once per
-  // capture, its steering pair products and denominator once per band,
-  // then per beep its coherent energy in closed form, a^H B_g a / den^2.
-  // Each task writes its own row of every image, so the images are
-  // bit-identical for any worker count, and a beep's pixels read only that
-  // beep's terms, so they do not depend on the other beeps of the pass.
-  // One task per row is a fixed grain, so the recorded
-  // `imaging.grid_chunk[row]` spans are identical for every worker count
-  // too (the determinism contract in obs/trace.hpp).
+  // direction and the roots of its steering ladder (band 0's vector and
+  // the step between bands, from cos and sin) once per capture, then one
+  // sweep-kernel call per row (simd closed_form_row_f64): per band each
+  // pixel's steering vector, pair products and denominator, per beep its
+  // coherent energy in closed form, a^H B_g a / den^2. Each task writes
+  // its own row of every image, so the images are bit-identical for any
+  // worker count, and a beep's pixels read only that beep's terms, so they
+  // do not depend on the other beeps of the pass. One task per row is a
+  // fixed grain, so the recorded `imaging.grid_chunk[row]` spans are
+  // identical for every worker count too (the determinism contract in
+  // obs/trace.hpp).
   const echoimage::array::ArrayGeometry subarray = geometry_.subarray(mask);
   const double speed = config_.speed_of_sound.value();
   const double k0 = 2.0 * std::numbers::pi * subband_centers_.front() / speed;
@@ -396,48 +423,57 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
       num_beeps, std::vector<Matrix2D>(num_bands, Matrix2D(grid, grid)));
   {
     EI_SPAN_NAMED(sweep_span, tracer, "imaging.grid_sweep");
-    struct PixelScratch {
-      std::vector<echoimage::dsp::Complex> steering;
-      std::vector<double> pairs;
+    const std::size_t slots = num_beeps * num_bands;
+    std::vector<const double*> inverse(num_bands);
+    for (std::size_t band = 0; band < num_bands; ++band)
+      inverse[band] = context.solvers_[band].packed_inverse();
+    std::vector<const double*> forms(slots), incoherent(slots);
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      forms[slot] = terms[slot].forms.data();
+      incoherent[slot] = terms[slot].incoherent.data();
+    }
+    echoimage::simd::SweepRow shape;
+    shape.pixels = grid;
+    shape.mics = active.size();
+    shape.bands = num_bands;
+    shape.beeps = num_beeps;
+    shape.inverse = config_.use_mvdr ? inverse.data() : nullptr;
+    shape.forms = forms.data();
+    shape.incoherent = incoherent.data();
+    shape.mix = mix;
+    struct RowScratch {
+      std::vector<double> base, step;  ///< per pixel, 2M' doubles each
+      std::vector<double*> out;        ///< per slot
     };
-    echoimage::runtime::ScratchArena<PixelScratch> arena(
+    echoimage::runtime::ScratchArena<RowScratch> arena(
         pool_ != nullptr ? pool_->num_workers() : 1);
+    const echoimage::simd::KernelTable& kernels = echoimage::simd::kernels();
     echoimage::runtime::parallel_for(
         pool_.get(), grid, [&](std::size_t row, std::size_t worker) {
           EI_SPAN(tracer, "imaging.grid_chunk", row, sweep_span.handle());
-          PixelScratch& s = arena.local(worker);
-          for (std::size_t col = 0; col < grid; ++col) {
-            const std::size_t k = row * grid + col;
-            const std::uint32_t g = gates.pixel_gate[k];
-            if (mix < 1.0)
-              echoimage::array::steering_ladder(
+          RowScratch& s = arena.local(worker);
+          const std::size_t width = 2 * active.size();
+          s.base.resize(grid * width);
+          s.step.resize(grid * width);
+          s.out.resize(slots);
+          if (mix < 1.0)
+            for (std::size_t col = 0; col < grid; ++col)
+              echoimage::array::ladder_roots(
                   subarray,
                   grid_center(config_, row, col, context.plane_distance_m_)
                       .normalized(),
-                  k0, dk, num_bands, s.steering);
-            for (std::size_t band = 0; band < num_bands; ++band) {
-              double den2 = 1.0;
-              if (mix < 1.0) {
-                echoimage::array::steering_pairs(
-                    s.steering.data() + band * active.size(), active.size(),
-                    s.pairs);
-                const double den = context.solvers_[band].denominator(
-                    s.pairs, config_.use_mvdr);
-                den2 = den * den;
-              }
-              for (std::size_t b = 0; b < num_beeps; ++b) {
-                const GateTerms& t = terms[b * num_bands + band];
-                double e = 0.0;
-                if (mix < 1.0)
-                  e += (1.0 - mix) *
-                       (echoimage::array::packed_form_value(
-                            t.forms.data() + g * form_size, s.pairs) /
-                        den2);
-                if (mix > 0.0) e += mix * t.incoherent[g];
-                energies[b][band].data()[k] += e;
-              }
-            }
-          }
+                  k0, dk, num_bands, s.base.data() + col * width,
+                  s.step.data() + col * width);
+          for (std::size_t b = 0; b < num_beeps; ++b)
+            for (std::size_t band = 0; band < num_bands; ++band)
+              s.out[b * num_bands + band] =
+                  energies[b][band].data().data() + row * grid;
+          echoimage::simd::SweepRow r = shape;
+          r.base = s.base.data();
+          r.step = s.step.data();
+          r.gate = gates.pixel_gate.data() + row * grid;
+          r.out = s.out.data();
+          kernels.closed_form_row_f64(r);
         });
   }
   return energies;
@@ -448,12 +484,17 @@ std::vector<AcousticImage> AcousticImager::construct_capture(
     const CaptureContext& context) const {
   std::vector<std::vector<Matrix2D>> energies = band_energies(beeps, context);
   std::vector<AcousticImage> images(energies.size());
-  for (std::size_t b = 0; b < energies.size(); ++b) {
+  for (std::size_t b = 0; b < energies.size(); ++b)
     images[b].bands = std::move(energies[b]);
-    // L2 norm of the gated segment: sqrt of the energy.
-    for (Matrix2D& band : images[b].bands)
-      for (double& v : band.data()) v = std::sqrt(v);
-  }
+  // L2 norm of the gated segment: sqrt of the energy, one task per (beep,
+  // band) image.
+  const std::size_t num_bands = config_.num_subbands;
+  echoimage::runtime::parallel_for(
+      pool_.get(), images.size() * num_bands,
+      [&](std::size_t slot, std::size_t) {
+        for (double& v : images[slot / num_bands].bands[slot % num_bands].data())
+          v = std::sqrt(v);
+      });
   return images;
 }
 

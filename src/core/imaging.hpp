@@ -16,10 +16,14 @@
 // Weights and data are kept apart: the capture context holds one
 // array::WeightSolver per band, and a beep contributes only its gate
 // statistics. The imager therefore images all beeps of a capture in one
-// pass: R_g once per (beep, band, distinct gate), packed at once into B_g
-// and freed; each pixel's unit direction and its steering vectors on the
-// subband ladder once per capture, its steering pair products and
-// denominator once per band; then a^H B_g a per beep.
+// pass: R_g once per (beep, band, distinct gate), summed from the
+// window's per-sample products and packed at once into B_g; each pixel's
+// unit direction and the roots of its subband ladder once per capture;
+// then one sweep-kernel call per grid row (simd/kernels.hpp) for each
+// pixel's steering vectors, pair products and denominator per band and
+// a^H B_g a per beep. The gate sums, the sweep and the CNN's convolution
+// run in vector lanes where the CPU has them, bit for bit as the scalar
+// lane.
 // A beep's image depends only on that beep and the capture context, so
 // the one-beep calls reproduce every beep of a pass bit for bit.
 #pragma once
@@ -240,8 +244,11 @@ class AcousticImager {
 // per distinct gate, on exactly the (first, count) window the pixel would
 // have passed.
 struct AcousticImager::GateTable {
+  /// Each pixel's key on `pool` (null: inline), one task per grid row;
+  /// the distinct keys in first-seen pixel order.
   GateTable(const ImagingConfig& config, units::Meters plane_distance,
-            double tau_direct_s, double tau_echo_s);
+            double tau_direct_s, double tau_echo_s,
+            echoimage::runtime::ThreadPool* pool);
 
   std::vector<std::pair<std::size_t, std::size_t>> gates;  ///< (first, count)
   std::vector<std::uint32_t> pixel_gate;  ///< pixel -> index into gates

@@ -5,6 +5,8 @@
 #include <random>
 #include <stdexcept>
 
+#include "simd/kernels.hpp"
+
 namespace echoimage::ml {
 
 Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels,
@@ -26,31 +28,12 @@ Tensor3 Conv2D::forward(const Tensor3& x) const {
     throw std::invalid_argument("Conv2D: channel mismatch");
   const std::size_t h = x.height(), w = x.width();
   Tensor3 y(h, w, out_);
-  for (std::size_t oy = 0; oy < h; ++oy) {
-    for (std::size_t ox = 0; ox < w; ++ox) {
-      for (std::size_t ky = 0; ky < 3; ++ky) {
-        const std::ptrdiff_t iy =
-            static_cast<std::ptrdiff_t>(oy + ky) - 1;
-        if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-        for (std::size_t kx = 0; kx < 3; ++kx) {
-          const std::ptrdiff_t ix =
-              static_cast<std::ptrdiff_t>(ox + kx) - 1;
-          if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-          for (std::size_t ci = 0; ci < in_; ++ci) {
-            const double v = x.at(static_cast<std::size_t>(iy),
-                                  static_cast<std::size_t>(ix), ci);
-            if (v == 0.0) continue;
-            const double* wrow =
-                &weights_[((ky * 3 + kx) * in_ + ci) * out_];
-            double* yrow = &y.at(oy, ox, 0);
-            for (std::size_t co = 0; co < out_; ++co) yrow[co] += v * wrow[co];
-          }
-        }
-      }
-      double* yrow = &y.at(oy, ox, 0);
-      for (std::size_t co = 0; co < out_; ++co) yrow[co] += bias_[co];
-    }
-  }
+  // One kernel call per output row; the output channels run in lanes.
+  const simd::Conv3x3 conv{x.data().data(), h, w, in_, out_,
+                           weights_.data(), bias_.data()};
+  const simd::KernelTable& kernels = simd::kernels();
+  for (std::size_t oy = 0; oy < h; ++oy)
+    kernels.conv3x3_row_f64(conv, oy, y.data().data() + oy * w * out_);
   return y;
 }
 
@@ -62,8 +45,12 @@ Tensor3 relu(const Tensor3& x) {
 
 Tensor3 leaky_relu(const Tensor3& x, double alpha) {
   Tensor3 y = x;
-  for (double& v : y.data())
-    if (v < 0.0) v *= alpha;
+  // A select, not a branch: the sign of a convolution output follows the
+  // data, so a branch on it mispredicts often.
+  for (double& v : y.data()) {
+    const double scaled = v * alpha;
+    v = v < 0.0 ? scaled : v;
+  }
   return y;
 }
 

@@ -30,10 +30,6 @@ class Conv2D {
   [[nodiscard]] Tensor3 forward(const Tensor3& x) const;
 
  private:
-  [[nodiscard]] double weight(std::size_t ky, std::size_t kx, std::size_t ci,
-                              std::size_t co) const {
-    return weights_[((ky * 3 + kx) * in_ + ci) * out_ + co];
-  }
   std::size_t in_, out_;
   std::vector<double> weights_;  ///< [3][3][in][out]
   std::vector<double> bias_;     ///< [out]

@@ -23,8 +23,6 @@ const KernelTable* table_or_null(Isa isa) {
       return detail::sse2_table();
     case Isa::kAvx2:
       return detail::avx2_table();
-    case Isa::kNeon:
-      return detail::neon_table();
   }
   return nullptr;
 }
@@ -55,8 +53,6 @@ const char* isa_name(Isa isa) {
       return "sse2";
     case Isa::kAvx2:
       return "avx2";
-    case Isa::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -65,10 +61,9 @@ Isa parse_isa(const std::string& name) {
   if (name == "scalar") return Isa::kScalar;
   if (name == "sse2") return Isa::kSse2;
   if (name == "avx2") return Isa::kAvx2;
-  if (name == "neon") return Isa::kNeon;
   if (name == "auto") return best_isa();
   throw std::invalid_argument("unknown SIMD lane name: '" + name +
-                              "' (expected scalar|sse2|avx2|neon|auto)");
+                              "' (expected scalar|sse2|avx2|auto)");
 }
 
 bool isa_supported(Isa isa) {
@@ -81,14 +76,6 @@ bool isa_supported(Isa isa) {
       return true;  // x86-64 baseline
     case Isa::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
-    case Isa::kNeon:
-      return false;
-#elif defined(__aarch64__)
-    case Isa::kSse2:
-    case Isa::kAvx2:
-      return false;
-    case Isa::kNeon:
-      return true;  // AArch64 baseline
 #else
     default:
       return false;
@@ -99,14 +86,14 @@ bool isa_supported(Isa isa) {
 
 std::vector<Isa> supported_isas() {
   std::vector<Isa> out;
-  for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2, Isa::kNeon})
+  for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2})
     if (isa_supported(isa)) out.push_back(isa);
   return out;
 }
 
 Isa best_isa() {
   Isa best = Isa::kScalar;
-  for (const Isa isa : {Isa::kSse2, Isa::kAvx2, Isa::kNeon})
+  for (const Isa isa : {Isa::kSse2, Isa::kAvx2})
     if (isa_supported(isa)) best = isa;
   return best;
 }

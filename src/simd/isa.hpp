@@ -1,8 +1,9 @@
 // Runtime ISA selection for the vectorized DSP kernels.
 //
 // The kernel layer (kernels.hpp) ships one implementation table per
-// instruction set — scalar, SSE2, AVX2, NEON — compiled into per-ISA
-// translation units. One of them is selected at startup: the best lane the
+// instruction set — scalar, SSE2, AVX2 — compiled into per-ISA
+// translation units. Other hosts (AArch64 among them) run the scalar
+// lane, the bitwise reference. One of them is selected at startup: the best lane the
 // CPU supports, unless the ECHOIMAGE_SIMD environment variable or a
 // ScopedIsa narrows the choice (the testing hook the differential harness
 // and the lane sweeps use to run every lane on one machine). Those two are
@@ -32,10 +33,9 @@ enum class Isa {
   kScalar = 0,  ///< portable reference; always compiled, always available
   kSse2 = 1,    ///< x86-64 baseline (128-bit)
   kAvx2 = 2,    ///< 256-bit x86
-  kNeon = 3,    ///< 128-bit AArch64
 };
 
-/// Short lowercase name ("scalar", "sse2", "avx2", "neon").
+/// Short lowercase name ("scalar", "sse2", "avx2").
 [[nodiscard]] const char* isa_name(Isa isa);
 
 /// Parse an ISA name (the ECHOIMAGE_SIMD spellings, plus "auto"). Throws

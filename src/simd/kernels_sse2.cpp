@@ -5,7 +5,9 @@
 // (kernels_scalar.cpp). addsub does not exist in SSE2, so the sub half is
 // an XOR sign flip followed by an add — IEEE-exact (x - y == x + (-y)).
 // This translation unit is compiled with -ffp-contract=off so the compiler
-// cannot fuse the mul/add pairs the reference keeps separate.
+// cannot fuse the mul/add pairs the reference keeps separate. The gate
+// sums, the sweep row and the convolution row reuse the scalar lane's
+// entries.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <emmintrin.h>
@@ -121,6 +123,9 @@ const KernelTable kTable = {
     .complex_scale_f64 = &complex_scale_f64,
     .scale_f64 = &scale_f64,
     .sos_section_f64 = &sos_section_f64,
+    .gate_sums_f64 = &detail::gate_sums_scalar,
+    .closed_form_row_f64 = &detail::closed_form_row_scalar,
+    .conv3x3_row_f64 = &detail::conv3x3_row_scalar,
 };
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <numbers>
 #include <random>
@@ -16,6 +17,7 @@
 #include "dsp/hilbert.hpp"
 #include "dsp/matched_filter.hpp"
 #include "sim/scene.hpp"
+#include "simd/kernels.hpp"
 
 namespace echoimage::array {
 namespace {
@@ -187,7 +189,8 @@ TEST(Beamformer, SteeredEnergyWindowed) {
   const std::vector<ComplexSignal> x =
       analytic_channels(plane_wave_tone(g, src, kF0, 1024));
   const WeightSolver solver(g, white_noise_covariance(g.num_mics()), kF0);
-  const CMatrix r = gate_covariance(x, 256, 512);
+  const GateProducts products(x);
+  const CMatrix r = products.covariance(256, 512);
   const double e_full = gated_energy(r, weights(solver, src));
   // |analytic tone|^2 = 1 per sample.
   EXPECT_NEAR(e_full, 512.0, 30.0);
@@ -195,7 +198,8 @@ TEST(Beamformer, SteeredEnergyWindowed) {
   EXPECT_NEAR(e_das, e_full, 40.0);
   // Out-of-range window is empty.
   EXPECT_DOUBLE_EQ(
-      gated_energy(gate_covariance(x, 5000, 10), weights(solver, src)), 0.0);
+      gated_energy(products.covariance(5000, 10), weights(solver, src)),
+      0.0);
 }
 
 // The scene both gate-energy oracles run on: a noisy plane-wave tone from
@@ -250,8 +254,9 @@ TEST(Beamformer, GatedEnergyMatchesThePerSampleOracle) {
       std::vector<ComplexSignal> active;
       for (std::size_t c = 0; c < chans->size(); ++c)
         if (mask.empty() || mask[c]) active.push_back((*chans)[c]);
+      const GateProducts products(active);
       for (const auto& [first, count] : scene.gates) {
-        const CMatrix r = gate_covariance(active, first, count);
+        const CMatrix r = products.covariance(first, count);
         ASSERT_EQ(r.rows(), active.size());
         double trace = 0.0;
         for (std::size_t i = 0; i < r.rows(); ++i) trace += r(i, i).real();
@@ -283,8 +288,9 @@ TEST(Beamformer, GatedEnergyMatchesThePerSampleOracle) {
 
 TEST(Beamformer, ClosedFormPixelEnergyMatchesTheWeightOracle) {
   // The imager's pixel, e = (1 - mix) a^H B_g a / den^2 + mix * incoherent
-  // from the gate's packed form and the pixel's steering pairs on the
-  // subband ladder, against the weight path it replaced, e = (1 - mix)
+  // from the gate's packed form and the pixel's steering on the subband
+  // ladder, through the sweep kernel the imager calls (one row, one pixel
+  // per look), against the weight path it replaced, e = (1 - mix)
   // w^H R_g w + mix * incoherent with w from each band's compute_weights:
   // MVDR and delay-and-sum, full and degraded arrays, pulse-compressed and
   // raw gates, gates clipped at or starting past the window end, every
@@ -302,53 +308,76 @@ TEST(Beamformer, ClosedFormPixelEnergyMatchesTheWeightOracle) {
   for (double theta = 0.9; theta < 2.3; theta += 0.35)
     for (double phi = 0.9; phi < 2.3; phi += 0.35)
       looks.push_back({theta, phi});
+  const std::size_t pixels = looks.size();
+  const std::vector<std::uint32_t> gate(pixels, 0);
   double worst = 0.0;
-  std::vector<Complex> steering;
-  std::vector<double> pairs;
   for (const ChannelMask& mask : {ChannelMask{}, scene.degraded}) {
     const ArrayGeometry subarray = scene.g.subarray(mask);
+    const std::size_t m = subarray.num_mics();
     std::vector<WeightSolver> solvers;
-    for (std::size_t b = 0; b < bands; ++b)
+    std::vector<const double*> inverse;
+    for (std::size_t b = 0; b < bands; ++b) {
       solvers.emplace_back(scene.g, scene.noise_cov,
                            units::Hertz{f0 + df * static_cast<double>(b)},
                            kSpeedOfSoundMps, mask);
+      inverse.push_back(solvers.back().packed_inverse());
+    }
+    std::vector<double> base(pixels * 2 * m), step(pixels * 2 * m);
+    for (std::size_t l = 0; l < pixels; ++l)
+      ladder_roots(subarray, line_of_sight(looks[l]), k0, dk, bands,
+                   base.data() + l * 2 * m, step.data() + l * 2 * m);
     for (const std::vector<ComplexSignal>* chans :
          {&scene.raw, &scene.compressed}) {
       std::vector<ComplexSignal> active;
       for (std::size_t c = 0; c < chans->size(); ++c)
         if (mask.empty() || mask[c]) active.push_back((*chans)[c]);
-      const std::size_t m = active.size();
-      std::vector<double> form(packed_form_size(m));
+      ASSERT_EQ(active.size(), m);
+      const GateProducts products(active);
       for (const auto& [first, count] : scene.gates) {
-        const CMatrix r = gate_covariance(active, first, count);
+        const CMatrix r = products.covariance(first, count);
         const double incoherent = incoherent_energy(active, first, count);
         double trace = 0.0;
         for (std::size_t i = 0; i < m; ++i) trace += r(i, i).real();
-        for (const Direction& look : looks) {
-          steering_ladder(subarray, line_of_sight(look), k0, dk, bands,
-                          steering);
+        for (const bool mvdr : {true, false}) {
+          // One beep: slot b is band b, with this gate's form.
+          std::vector<std::vector<double>> form(
+              bands, std::vector<double>(packed_form_size(m)));
+          std::vector<const double*> forms, incoherents;
           for (std::size_t b = 0; b < bands; ++b) {
-            steering_pairs(steering.data() + b * m, m, pairs);
-            ASSERT_EQ(pairs.size(), m * (m - 1));
-            for (const bool mvdr : {true, false}) {
-              solvers[b].pack_gate_form(r, mvdr, form.data());
-              const double den = solvers[b].denominator(pairs, mvdr);
-              const double closed =
-                  packed_form_value(form.data(), pairs) / (den * den);
-              const std::vector<Complex> w = weights(solvers[b], look, mvdr);
-              double w2 = 0.0;
-              for (const Complex& v : w) w2 += std::norm(v);
-              const double oracle = gated_energy(r, w);
-              for (const double mix : {0.0, 0.85, 1.0}) {
-                // The imager's accumulation order, for either term.
-                const auto pixel = [&](double coherent) {
-                  double e = 0.0;
-                  if (mix < 1.0) e += (1.0 - mix) * coherent;
-                  if (mix > 0.0) e += mix * incoherent;
-                  return e;
-                };
-                const double got = pixel(closed);
-                const double want = pixel(oracle);
+            solvers[b].pack_gate_form(r, mvdr, form[b].data());
+            forms.push_back(form[b].data());
+            incoherents.push_back(&incoherent);
+          }
+          for (const double mix : {0.0, 0.85, 1.0}) {
+            std::vector<std::vector<double>> energy(
+                bands, std::vector<double>(pixels, 0.0));
+            std::vector<double*> out;
+            for (std::vector<double>& e : energy) out.push_back(e.data());
+            echoimage::simd::SweepRow row;
+            row.pixels = pixels;
+            row.mics = m;
+            row.bands = bands;
+            row.beeps = 1;
+            row.base = base.data();
+            row.step = step.data();
+            row.gate = gate.data();
+            row.inverse = mvdr ? inverse.data() : nullptr;
+            row.forms = forms.data();
+            row.incoherent = incoherents.data();
+            row.out = out.data();
+            row.mix = mix;
+            echoimage::simd::kernels().closed_form_row_f64(row);
+            for (std::size_t l = 0; l < pixels; ++l) {
+              for (std::size_t b = 0; b < bands; ++b) {
+                const std::vector<Complex> w =
+                    weights(solvers[b], looks[l], mvdr);
+                double w2 = 0.0;
+                for (const Complex& v : w) w2 += std::norm(v);
+                // The imager's accumulation order, on the oracle's term.
+                double want = 0.0;
+                if (mix < 1.0) want += (1.0 - mix) * gated_energy(r, w);
+                if (mix > 0.0) want += mix * incoherent;
+                const double got = energy[b][l];
                 if (trace == 0.0 || mix == 1.0) {
                   EXPECT_EQ(got, want) << "gate " << first << "+" << count;
                   if (trace == 0.0) {
@@ -381,7 +410,7 @@ TEST(Beamformer, GateCovarianceIsHermitianAndSummedInOrder) {
   const ArrayGeometry g = make_respeaker_array();
   const std::vector<ComplexSignal> chans = analytic_channels(
       plane_wave_tone(g, Direction{0.4, 1.2}, kF0, 256, 0.2, 3));
-  const CMatrix r = gate_covariance(chans, 40, 300);  // clipped at 256
+  const CMatrix r = GateProducts(chans).covariance(40, 300);  // clipped
   for (std::size_t i = 0; i < 6; ++i) {
     for (std::size_t j = i; j < 6; ++j) {
       Complex acc(0.0, 0.0);
@@ -426,9 +455,9 @@ TEST(Beamformer, RejectsBadInputs) {
                std::invalid_argument);
   const std::vector<ComplexSignal> ragged = {
       ComplexSignal(64), ComplexSignal(32), ComplexSignal(64)};
-  EXPECT_THROW((void)gate_covariance(ragged, 0, 16), std::invalid_argument);
+  EXPECT_THROW((void)GateProducts{ragged}, std::invalid_argument);
   EXPECT_THROW((void)incoherent_energy(ragged, 0, 16), std::invalid_argument);
-  EXPECT_THROW((void)gate_covariance({}, 0, 16), std::invalid_argument);
+  EXPECT_THROW((void)GateProducts{{}}, std::invalid_argument);
   EXPECT_THROW((void)incoherent_energy({}, 0, 16), std::invalid_argument);
 }
 
@@ -461,7 +490,8 @@ TEST(Beamformer, PhysicallyRenderedEchoFavoursTrueDirection) {
   const Direction toward{std::atan2(target.y, target.x),
                          std::acos(target.z / target.norm())};
   const Direction mirror{toward.theta + kPi, toward.phi};
-  const CMatrix r = gate_covariance(analytic_channels(echo), 0, echo.length());
+  const CMatrix r =
+      GateProducts(analytic_channels(echo)).covariance(0, echo.length());
   const double e_toward = gated_energy(r, weights(solver, toward, false));
   const double e_mirror = gated_energy(r, weights(solver, mirror, false));
   EXPECT_GT(e_toward, 1.3 * e_mirror);

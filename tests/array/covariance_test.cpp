@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
 #include <stdexcept>
 
@@ -79,6 +81,36 @@ TEST(SpatialCovariance, OutOfRangeSnapshotsAreZero) {
   const CMatrix r = spatial_covariance(ch, 0, 32);
   const CMatrix r_half = spatial_covariance(ch, 0, 16);
   EXPECT_NEAR(r(0, 0).real(), 0.5 * r_half(0, 0).real(), 1e-12);
+}
+
+TEST(SpatialCovariance, MatchesTheComplexProductSumBitwise) {
+  // The std::complex loop the real-arithmetic sum replaced, kept as the
+  // oracle: every entry sums x_i conj(x_j) over all (i, j) in ascending t,
+  // then scales by 1/N. Channel 2 is dead (all zeros, so its entries are
+  // signed zeros) and channel 4 ends early, inside the range.
+  std::vector<ComplexSignal> ch = independent_noise(6, 300, 11);
+  for (Complex& v : ch[2]) v = Complex(0.0, 0.0);
+  ch[4].resize(200);
+  const std::size_t first = 50, count = 240;
+  const CMatrix got = spatial_covariance(ch, first, count);
+  CMatrix want(6, 6);
+  for (std::size_t t = first; t < first + count; ++t)
+    for (std::size_t i = 0; i < 6; ++i)
+      for (std::size_t j = 0; j < 6; ++j) {
+        const Complex xi = t < ch[i].size() ? ch[i][t] : Complex(0.0, 0.0);
+        const Complex xj = t < ch[j].size() ? ch[j][t] : Complex(0.0, 0.0);
+        want(i, j) += xi * std::conj(xj);
+      }
+  for (std::size_t i = 0; i < 6; ++i)
+    for (std::size_t j = 0; j < 6; ++j) {
+      want(i, j) *= 1.0 / static_cast<double>(count);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got(i, j).real()),
+                std::bit_cast<std::uint64_t>(want(i, j).real()))
+          << i << "," << j;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got(i, j).imag()),
+                std::bit_cast<std::uint64_t>(want(i, j).imag()))
+          << i << "," << j;
+    }
 }
 
 TEST(NormalizedCovariance, UnitMeanDiagonal) {

@@ -204,29 +204,50 @@ TEST(ParallelImaging, IsaLanesBitIdenticalUnderThreadedEngine) {
   // build (tools/run_sanitized_tests.sh thread), so any race between the
   // kernel dispatch and the worker pool is caught here. Scalar serial is
   // the reference; every other lane x thread-count combination must
-  // reproduce it bit for bit.
+  // reproduce it bit for bit. Scenes: the 12x12 default, a 17x17 grid
+  // (rows of four-pixel blocks plus a one-pixel tail), a 4-mic mask and
+  // delay-and-sum weights.
   const Fixture f;
   const auto batch = f.batch();
-  std::vector<Matrix2D> reference;
-  {
-    echoimage::simd::ScopedIsa forced(echoimage::simd::Isa::kScalar);
+  echoimage::array::ChannelMask four_mics(f.geometry.num_mics(), true);
+  four_mics[0] = false;
+  four_mics[3] = false;
+  struct Scene {
+    const char* name;
+    std::size_t grid;
+    echoimage::array::ChannelMask mask;
+    bool mvdr;
+  };
+  for (const Scene& scene : {Scene{"grid 12", 12, {}, true},
+                             Scene{"grid 17", 17, {}, true},
+                             Scene{"4-mic mask", 12, four_mics, true},
+                             Scene{"delay-and-sum", 12, {}, false}}) {
     ImagingConfig cfg = small_config();
-    cfg.num_threads = 1;
-    reference = AcousticImager(cfg, f.geometry)
-                    .construct_bands(batch.beeps[0], 0.7_m, 0.0002,
-                                     batch.noise_only);
-  }
-  for (echoimage::simd::Isa isa : echoimage::simd::supported_isas()) {
-    echoimage::simd::ScopedIsa forced(isa);
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      ImagingConfig cfg = small_config();
-      cfg.num_threads = threads;
-      expect_bitwise_equal(
-          reference,
-          AcousticImager(cfg, f.geometry)
-              .construct_bands(batch.beeps[0], 0.7_m, 0.0002,
-                               batch.noise_only),
-          "isa lane");
+    cfg.grid_size = scene.grid;
+    cfg.use_mvdr = scene.mvdr;
+    std::vector<Matrix2D> reference;
+    {
+      echoimage::simd::ScopedIsa forced(echoimage::simd::Isa::kScalar);
+      cfg.num_threads = 1;
+      reference = AcousticImager(cfg, f.geometry)
+                      .construct_bands(batch.beeps[0], 0.7_m, 0.0002,
+                                       batch.noise_only, -1.0, scene.mask);
+    }
+    for (echoimage::simd::Isa isa : echoimage::simd::supported_isas()) {
+      echoimage::simd::ScopedIsa forced(isa);
+      for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+        cfg.num_threads = threads;
+        SCOPED_TRACE(::testing::Message()
+                     << scene.name << ", lane "
+                     << echoimage::simd::isa_name(isa) << ", " << threads
+                     << " workers");
+        expect_bitwise_equal(
+            reference,
+            AcousticImager(cfg, f.geometry)
+                .construct_bands(batch.beeps[0], 0.7_m, 0.0002,
+                                 batch.noise_only, -1.0, scene.mask),
+            "isa lane");
+      }
     }
   }
 }

@@ -1,4 +1,4 @@
-// Differential harness for the vectorized DSP kernels (ISSUE 10).
+// Differential harness for the vectorized DSP kernels.
 //
 // Every kernel in simd::KernelTable is property-tested against the scalar
 // reference lane on every ISA lane this build + machine supports:
@@ -10,11 +10,13 @@
 //     switch may never change a single output bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "simd/isa.hpp"
@@ -168,6 +170,176 @@ TEST(KernelDiff, SosSectionMatchesScalarBitwise) {
   }
 }
 
+TEST(KernelDiff, GateSumsMatchScalarBitwise) {
+  // The widths of an M' = 2..6 product table, bare and padded to whole
+  // registers, and widths of no register multiple; empty and reversed
+  // row ranges read zeros.
+  const KernelTable& ref = kernels_for(Isa::kScalar);
+  for (Isa isa : vector_lanes()) {
+    const KernelTable& vec = kernels_for(isa);
+    std::mt19937_64 gen(0xC0FFEE06 + static_cast<unsigned>(isa));
+    for (std::size_t width : {1u, 3u, 5u, 6u, 7u, 8u, 12u, 13u, 20u, 30u, 32u,
+                              42u, 44u, 50u, 100u}) {
+      const std::size_t rows = 40;
+      std::vector<double> table(rows * width + 1);
+      for (double& v : table) v = wild_double(gen);
+      for (const auto& [first, last] :
+           {std::pair<std::size_t, std::size_t>{0, rows}, {3, 4}, {5, 22},
+            {17, 17}, {30, 12}, {39, 40}}) {
+        std::vector<double> got(width, -1.0), want(width, -2.0);
+        ref.gate_sums_f64(table.data() + 1, width, first, last, want.data());
+        vec.gate_sums_f64(table.data() + 1, width, first, last, got.data());
+        expect_bits_equal(got.data(), want.data(), width, "gate_sums", isa);
+      }
+    }
+  }
+}
+
+/// Unit-modulus complex entries (re, im) at seeded random phases.
+std::vector<double> unit_phasors(std::size_t n, std::mt19937_64& gen) {
+  std::uniform_real_distribution<double> phase(-3.2, 3.2);
+  std::vector<double> out(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = phase(gen);
+    out[2 * i] = std::cos(a);
+    out[2 * i + 1] = std::sin(a);
+  }
+  return out;
+}
+
+TEST(KernelDiff, ClosedFormRowMatchesScalarBitwise) {
+  // Every combination of M' = 2..6 (and 9, past the AVX2 lane's register
+  // budget), rows of 1, 3, 5 and 17 pixels (whole blocks of four plus
+  // tails), 1 and 5 bands, 1-4 beeps, MVDR and delay-and-sum, and mix 0,
+  // 0.85 and 1. Gates are drawn per pixel (gate 0 is an empty gate's zero
+  // form), and one row shares one gate.
+  const KernelTable& ref = kernels_for(Isa::kScalar);
+  for (Isa isa : vector_lanes()) {
+    const KernelTable& vec = kernels_for(isa);
+    std::mt19937_64 gen(0xC0FFEE07 + static_cast<unsigned>(isa));
+    std::normal_distribution<double> normal(0.0, 1.0);
+    for (std::size_t m : {2u, 3u, 4u, 5u, 6u, 9u}) {
+      const std::size_t form_size = 1 + m * (m - 1);
+      const std::size_t num_gates = 7;
+      for (std::size_t pixels : {1u, 3u, 5u, 17u}) {
+        for (std::size_t bands : {1u, 5u}) {
+          for (std::size_t beeps : {1u, 2u, 3u, 4u}) {
+            const std::size_t slots = beeps * bands;
+            const std::vector<double> base = unit_phasors(pixels * m, gen);
+            const std::vector<double> step = unit_phasors(pixels * m, gen);
+            std::vector<std::uint32_t> gate(pixels);
+            const bool shared = pixels == 17 && beeps == 2;
+            for (std::uint32_t& g : gate)
+              g = shared ? 3u : static_cast<std::uint32_t>(gen() % num_gates);
+            std::vector<std::vector<double>> inverses(bands),
+                forms(slots), incoherent(slots);
+            std::vector<const double*> inverse, form, inc;
+            for (std::vector<double>& f : inverses) {
+              f.resize(form_size);
+              for (double& v : f) v = 0.1 * normal(gen);
+              f[0] = 5.0 + std::abs(normal(gen));
+              inverse.push_back(f.data());
+            }
+            for (std::size_t slot = 0; slot < slots; ++slot) {
+              forms[slot].resize(num_gates * form_size);
+              for (double& v : forms[slot]) v = normal(gen);
+              incoherent[slot].resize(num_gates);
+              for (double& v : incoherent[slot]) v = std::abs(normal(gen));
+              // Gate 0 is empty: a zero form and no incoherent energy.
+              std::fill(forms[slot].begin(),
+                        forms[slot].begin() +
+                            static_cast<std::ptrdiff_t>(form_size),
+                        0.0);
+              incoherent[slot][0] = 0.0;
+              form.push_back(forms[slot].data());
+              inc.push_back(incoherent[slot].data());
+            }
+            for (const bool mvdr : {true, false}) {
+              for (const double mix : {0.0, 0.85, 1.0}) {
+                std::vector<double> got(slots * pixels), want;
+                for (double& v : got) v = std::abs(normal(gen));
+                want = got;
+                std::vector<double*> got_out, want_out;
+                for (std::size_t slot = 0; slot < slots; ++slot) {
+                  got_out.push_back(got.data() + slot * pixels);
+                  want_out.push_back(want.data() + slot * pixels);
+                }
+                SweepRow row;
+                row.pixels = pixels;
+                row.mics = m;
+                row.bands = bands;
+                row.beeps = beeps;
+                row.base = base.data();
+                row.step = step.data();
+                row.gate = gate.data();
+                row.inverse = mvdr ? inverse.data() : nullptr;
+                row.forms = form.data();
+                row.incoherent = inc.data();
+                row.mix = mix;
+                row.out = want_out.data();
+                ref.closed_form_row_f64(row);
+                row.out = got_out.data();
+                vec.closed_form_row_f64(row);
+                SCOPED_TRACE(::testing::Message()
+                             << "mics " << m << " pixels " << pixels
+                             << " bands " << bands << " beeps " << beeps
+                             << " mvdr " << mvdr << " mix " << mix);
+                expect_bits_equal(got.data(), want.data(), got.size(),
+                                  "closed_form_row", isa);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelDiff, Conv3x3RowMatchesScalarBitwise) {
+  // in x out over {1, 3, 8} x {1, 3, 5, 8, 32, 37}: whole registers,
+  // masked channel tails and more channels than one register block, on
+  // maps of one pixel and of 5 x 7, with exact zeros (both signs) and
+  // denormals among the inputs.
+  const KernelTable& ref = kernels_for(Isa::kScalar);
+  for (Isa isa : vector_lanes()) {
+    const KernelTable& vec = kernels_for(isa);
+    std::mt19937_64 gen(0xC0FFEE08 + static_cast<unsigned>(isa));
+    std::normal_distribution<double> normal(0.0, 1.0);
+    for (std::size_t in : {1u, 3u, 8u}) {
+      for (std::size_t out : {1u, 3u, 5u, 8u, 32u, 37u}) {
+        for (const auto& [h, w] : {std::pair<std::size_t, std::size_t>{1, 1},
+                                   {5, 7}}) {
+          std::vector<double> input(h * w * in + 1), weights(9 * in * out + 1),
+              bias(out + 1);
+          for (double& v : input) {
+            switch (gen() % 8) {
+              case 0: v = 0.0; break;
+              case 1: v = -0.0; break;
+              case 2: v = 4.9406564584124654e-324; break;
+              default: v = normal(gen); break;
+            }
+          }
+          for (double& v : weights) v = normal(gen);
+          for (double& v : bias) v = normal(gen);
+          const Conv3x3 conv{input.data() + 1, h,   w, in, out,
+                             weights.data() + 1, bias.data() + 1};
+          for (std::size_t oy = 0; oy < h; ++oy) {
+            std::vector<double> got(w * out + 1, -1.0),
+                want(w * out + 1, -2.0);
+            ref.conv3x3_row_f64(conv, oy, want.data() + 1);
+            vec.conv3x3_row_f64(conv, oy, got.data() + 1);
+            SCOPED_TRACE(::testing::Message() << "in " << in << " out " << out
+                                              << " map " << h << "x" << w
+                                              << " row " << oy);
+            expect_bits_equal(got.data() + 1, want.data() + 1, w * out,
+                              "conv3x3_row", isa);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelDiff, ScopedIsaForcesAndRestores) {
   const Isa before = active_isa();
   {
@@ -187,9 +359,9 @@ TEST(KernelDiff, IsaParsingAndSupport) {
   EXPECT_EQ(parse_isa("scalar"), Isa::kScalar);
   EXPECT_EQ(parse_isa("sse2"), Isa::kSse2);
   EXPECT_EQ(parse_isa("avx2"), Isa::kAvx2);
-  EXPECT_EQ(parse_isa("neon"), Isa::kNeon);
   EXPECT_EQ(parse_isa("auto"), best_isa());
   EXPECT_THROW((void)parse_isa("avx512"), std::invalid_argument);
+  EXPECT_THROW((void)parse_isa("neon"), std::invalid_argument);
   EXPECT_THROW((void)parse_isa(""), std::invalid_argument);
   EXPECT_TRUE(isa_supported(Isa::kScalar));
   const std::vector<Isa> lanes = supported_isas();
@@ -198,8 +370,8 @@ TEST(KernelDiff, IsaParsingAndSupport) {
   for (Isa isa : lanes) EXPECT_EQ(kernels_for(isa).isa, isa);
 #if defined(__x86_64__)
   EXPECT_TRUE(isa_supported(Isa::kSse2));
-  EXPECT_FALSE(isa_supported(Isa::kNeon));
-  EXPECT_THROW((void)kernels_for(Isa::kNeon), std::invalid_argument);
+#else
+  EXPECT_EQ(lanes.size(), 1u);
 #endif
 }
 
