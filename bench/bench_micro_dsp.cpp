@@ -4,10 +4,13 @@
 // covariance, the sweep row and the convolution row dispatch through the
 // kernel table (the SSE2 lane reuses the scalar entries for all three);
 // the packed form and the incoherent energy are plain scalar code outside
-// it, so their rows read the same on every lane. For each kernel x
-// lane the harness reports ns/op and the speedup over scalar, and
-// cross-checks that the lane reproduced the scalar output bit for bit — a
-// benchmark that quietly measured different numbers would be worthless.
+// it, so their rows read the same on every lane. The lanes of a kernel
+// are timed round-robin within each repeat, so a swing in host speed
+// lands on every lane alike instead of reading as a lane speedup. For
+// each kernel x lane the harness reports ns/op and the speedup over
+// scalar, and cross-checks that the lane reproduced the scalar output bit
+// for bit — a benchmark that quietly measured different numbers would be
+// worthless.
 //
 // Writes BENCH_micro_dsp.json into the working directory (copied to the
 // repo root by tools/run_bench_smoke.sh). `--smoke` shrinks repetitions.
@@ -74,28 +77,44 @@ std::uint64_t digest(const Complex* x, std::size_t n) {
   return digest(reinterpret_cast<const double*>(x), 2 * n);
 }
 
-/// Median-of-repeats ns per operation; each repeat runs the op enough
-/// times to outlast timer noise.
-double time_ns(const std::function<std::uint64_t()>& run, std::size_t inner,
-               std::size_t repeats, std::uint64_t& sink) {
-  std::vector<double> samples;
-  samples.reserve(repeats);
+/// Per lane, the median over `repeats` rounds of ns per operation. Each
+/// round runs the op `inner` times on every lane in turn, enough to
+/// outlast timer noise.
+std::vector<double> time_lanes_ns(const std::function<std::uint64_t()>& run,
+                                  const std::vector<simd::Isa>& lanes,
+                                  std::size_t inner, std::size_t repeats,
+                                  std::uint64_t& sink) {
+  std::vector<std::vector<double>> samples(lanes.size());
   for (std::size_t r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < inner; ++i) sink ^= run();
-    const std::chrono::duration<double, std::nano> elapsed =
-        std::chrono::steady_clock::now() - start;
-    samples.push_back(elapsed.count() / static_cast<double>(inner));
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      simd::ScopedIsa forced(lanes[l]);
+      const auto start = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < inner; ++i) sink ^= run();
+      const std::chrono::duration<double, std::nano> elapsed =
+          std::chrono::steady_clock::now() - start;
+      samples[l].push_back(elapsed.count() / static_cast<double>(inner));
+    }
   }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  std::vector<double> medians;
+  for (std::vector<double>& lane : samples) {
+    std::sort(lane.begin(), lane.end());
+    medians.push_back(lane[lane.size() / 2]);
+  }
+  return medians;
+}
+
+std::uint64_t digest(const std::vector<dsp::Signal>& channels) {
+  std::uint64_t h = 0;
+  for (const dsp::Signal& ch : channels) h ^= digest(ch.data(), ch.size());
+  return h;
 }
 
 std::vector<Kernel> make_kernels() {
   std::vector<Kernel> kernels;
 
-  // FFT, radix-2 path (the imaging chain's workhorse transform).
-  for (const std::size_t n : {1024u, 4096u}) {
+  // FFT, radix-2 path (the imaging chain's workhorse transform: 4,096
+  // points per beep transform, 2,048 per noise transform).
+  for (const std::size_t n : {1024u, 2048u, 4096u}) {
     dsp::ComplexSignal x(n);
     for (std::size_t i = 0; i < n; ++i)
       x[i] = Complex(std::sin(0.1 * static_cast<double>(i)), 0.0);
@@ -106,9 +125,9 @@ std::vector<Kernel> make_kernels() {
                        }});
   }
 
-  // Zero-phase filtering as the imager runs it: the probing band-pass over
-  // all six channels lockstepped (once per beep), then the order-2 subband
-  // filter over one channel (once per band and channel, on the pool).
+  // Zero-phase filtering as the imager runs it, every channel of a
+  // six-channel beep in lockstep: the probing band-pass (once per beep),
+  // then the order-2 subband filter (once per beep and band, on the pool).
   {
     const auto bandpass =
         dsp::butterworth_bandpass(4, 2000.0, 3000.0, 48000.0);
@@ -116,18 +135,12 @@ std::vector<Kernel> make_kernels() {
     for (unsigned c = 0; c < 6; ++c)
       chans.push_back(random_signal(2880, 10 + c));
     kernels.push_back({"filtfilt_6ch", 6 * 2880, [bandpass, chans]() {
-                         const auto y = bandpass.filtfilt_multi(chans);
-                         std::uint64_t h = 0;
-                         for (const auto& ch : y)
-                           h ^= digest(ch.data(), ch.size());
-                         return h;
+                         return digest(bandpass.filtfilt_multi(chans));
                        }});
     const auto subband =
         dsp::butterworth_bandpass(2, 2000.0, 2200.0, 48000.0);
-    const dsp::Signal x = random_signal(2880, 1);
-    kernels.push_back({"subband_filtfilt_1ch", 2880, [subband, x]() {
-                         const auto y = subband.filtfilt(x);
-                         return digest(y.data(), y.size());
+    kernels.push_back({"subband_filtfilt_6ch", 6 * 2880, [subband, chans]() {
+                         return digest(subband.filtfilt_multi(chans));
                        }});
   }
 
@@ -153,6 +166,44 @@ std::vector<Kernel> make_kernels() {
                              dsp::matched_filter_complex(a, spectrum);
                          return digest(y.data(), y.size());
                        }});
+  }
+
+  // The whole per-beep front end of the default five-band imager, serially:
+  // one six-channel, 2,880-sample beep band-passed in lockstep, then per
+  // band the subband filter in lockstep and, per channel, the analytic
+  // signal and the matched filter against the band's template spectrum.
+  {
+    const std::size_t bands = 5;
+    const auto bandpass =
+        dsp::butterworth_bandpass(4, 2000.0, 3000.0, 48000.0);
+    const dsp::Signal chirp = dsp::Chirp(dsp::ChirpParams{}).sample(48000.0);
+    const std::size_t fft = dsp::matched_filter_fft_length(2880, chirp.size());
+    std::vector<dsp::SosCascade> subbands;
+    std::vector<dsp::ComplexSignal> spectra;
+    for (std::size_t b = 0; b < bands; ++b) {
+      const double lo = 2000.0 + 200.0 * static_cast<double>(b);
+      subbands.push_back(dsp::butterworth_bandpass(2, lo, lo + 200.0, 48000.0));
+      spectra.push_back(
+          dsp::template_spectrum(subbands.back().filtfilt(chirp), fft));
+    }
+    std::vector<dsp::Signal> beep;
+    for (unsigned c = 0; c < 6; ++c)
+      beep.push_back(random_signal(2880, 50 + c));
+    kernels.push_back(
+        {"front_end_beep", 6 * 2880, [bandpass, subbands, spectra, beep]() {
+           const std::vector<dsp::Signal> filtered =
+               bandpass.filtfilt_multi(beep);
+           std::uint64_t h = 0;
+           for (std::size_t b = 0; b < subbands.size(); ++b) {
+             for (const dsp::Signal& ch :
+                  subbands[b].filtfilt_multi(filtered)) {
+               const dsp::ComplexSignal y = dsp::matched_filter_complex(
+                   dsp::analytic_signal(ch), spectra[b]);
+               h ^= digest(y.data(), y.size());
+             }
+           }
+           return h;
+         }});
   }
 
   // The sweep's energy terms on 6 channels x 2880 snapshots: the gate
@@ -337,22 +388,24 @@ int main(int argc, char** argv) {
     KernelReport report;
     report.name = k.name;
     report.n = k.n;
-    double scalar_ns = 0.0;
-    std::uint64_t scalar_digest = 0;
+    std::vector<std::uint64_t> digests;
     for (const simd::Isa isa : lanes) {
       simd::ScopedIsa forced(isa);
+      digests.push_back(k.run());
+    }
+    const std::vector<double> ns = time_lanes_ns(k.run, lanes, inner,
+                                                 repeats, sink);
+    // supported_isas() lists the scalar lane first.
+    const double scalar_ns = ns.front();
+    const std::uint64_t scalar_digest = digests.front();
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
       LaneTiming t;
-      t.isa = simd::isa_name(isa);
-      const std::uint64_t d = k.run();
-      t.ns_per_op = time_ns(k.run, inner, repeats, sink);
-      if (isa == simd::Isa::kScalar) {
-        scalar_ns = t.ns_per_op;
-        scalar_digest = d;
-      }
+      t.isa = simd::isa_name(lanes[l]);
+      t.ns_per_op = ns[l];
       t.speedup_vs_scalar =
           t.ns_per_op > 0.0 ? scalar_ns / t.ns_per_op : 0.0;
       // Every lane must replay the scalar bits exactly.
-      t.bit_identical = (d == scalar_digest);
+      t.bit_identical = (digests[l] == scalar_digest);
       all_bit_identical &= t.bit_identical;
       report.lanes.push_back(t);
       rows.push_back({k.name, std::to_string(k.n), t.isa,

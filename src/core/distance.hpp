@@ -103,7 +103,8 @@ class DistanceEstimator {
       const MultiChannelSignal& noise_only = {},
       const echoimage::array::ChannelMask& active_mask = {}) const;
 
-  /// Band-passed copy of a capture (exposed for reuse by the imager).
+  /// Band-passed copy of a capture, every channel in lockstep: what
+  /// `estimate` correlates and takes the noise covariance of.
   [[nodiscard]] MultiChannelSignal bandpass(
       const MultiChannelSignal& capture) const;
 

@@ -183,21 +183,19 @@ AcousticImager::CaptureContext AcousticImager::capture_context(
   context.tau_direct_s_ = tau_direct_s;
   context.active_mask_ = active_mask;
 
-  // The noise path on the pool: the band-pass one task per channel, then
-  // one task per band for its subband filter, analytic signals and
-  // covariance, its weight solver (masked load and inverse) and its
-  // template spectrum. A band's temporaries are filtered and analytic
-  // copies of the noise gap, about 0.3 MB at 2,048 samples.
+  // The noise path: the band-pass of every channel in lockstep on the
+  // calling thread, then on the pool one task per band for its subband
+  // filter (lockstep again), analytic signals and covariance, its weight
+  // solver (masked load and inverse) and its template spectrum. A band's
+  // temporaries are filtered and analytic copies of the noise gap, about
+  // 0.3 MB at 2,048 samples.
   const std::size_t mics = geometry_.num_mics();
   const std::size_t num_bands = config_.num_subbands;
   const bool have_noise =
       noise_only.num_channels() == mics && noise_only.length() > 0;
   MultiChannelSignal noise_f;
-  noise_f.channels.resize(have_noise ? mics : 0);
-  echoimage::runtime::parallel_for(
-      pool_.get(), noise_f.channels.size(), [&](std::size_t c, std::size_t) {
-        noise_f.channels[c] = bandpass_filter_.filtfilt(noise_only.channels[c]);
-      });
+  if (have_noise)
+    noise_f.channels = bandpass_filter_.filtfilt_multi(noise_only.channels);
   if (config_.pulse_compression) {
     context.fft_length_ = fft_length_for(beep_length);
     context.spectra_.resize(num_bands);
@@ -230,25 +228,6 @@ AcousticImager::CaptureContext AcousticImager::capture_context(
   return context;
 }
 
-echoimage::dsp::Signal AcousticImager::prepare(const echoimage::dsp::Signal& x,
-                                               double tau_direct_s) const {
-  // Band-pass to the probing band.
-  echoimage::dsp::Signal filtered = bandpass_filter_.filtfilt(x);
-
-  // Self-interference removal: zero the direct speaker->mic chirp region
-  // (it is ~50 dB above body echoes and its analytic-signal tails would
-  // otherwise smear across the echo window).
-  if (config_.suppress_direct) {
-    const std::size_t direct_end = echoimage::dsp::seconds_to_samples(
-        tau_direct_s + config_.chirp.duration.value() + config_.direct_guard_s,
-        config_.sample_rate);
-    const std::size_t n = std::min(direct_end, filtered.size());
-    std::fill(filtered.begin(),
-              filtered.begin() + static_cast<std::ptrdiff_t>(n), 0.0);
-  }
-  return filtered;
-}
-
 std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
     std::span<const MultiChannelSignal> beeps,
     const CaptureContext& context) const {
@@ -278,7 +257,7 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
   // 2 tasks hang off the band spans through explicit parents, whichever
   // worker runs them.
   struct BeepFront {
-    MultiChannelSignal filtered;
+    std::vector<echoimage::dsp::Signal> filtered;  ///< per active channel
     std::vector<ComplexSignal> own_spectra;
     const std::vector<ComplexSignal>* spectra = nullptr;
     std::size_t first = 0;  ///< gate window [first, last) of this beep
@@ -292,7 +271,6 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
     beep_spans[b].emplace(tracer, "imaging.beep", b, construct_span.handle());
     prepare_spans[b].emplace(tracer, "imaging.prepare");
     BeepFront& front = fronts[b];
-    front.filtered.channels.resize(mics);
     front.spectra = &context.spectra_;
     const std::size_t length = beeps[b].length();
     const std::size_t fft = fft_length_for(length);
@@ -310,27 +288,55 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
                                                beep_spans[b]->handle());
   }
 
-  // Region 0, per (beep, active channel): band-pass and direct-path
-  // suppression. Channels the mask drops are never filtered.
+  // Region 0, per beep: the active channels band-passed in lockstep, then
+  // the direct speaker->mic chirp zeroed (self-interference removal: it is
+  // ~50 dB above body echoes and its analytic-signal tails would otherwise
+  // smear across the echo window). Channels the mask drops are never
+  // filtered.
   const echoimage::array::ChannelMask& mask = context.active_mask_;
   std::vector<std::size_t> active;
   for (std::size_t c = 0; c < mics; ++c)
     if (mask.empty() || mask[c]) active.push_back(c);
+  const std::size_t direct_end =
+      config_.suppress_direct
+          ? echoimage::dsp::seconds_to_samples(
+                context.tau_direct_s_ + config_.chirp.duration.value() +
+                    config_.direct_guard_s,
+                config_.sample_rate)
+          : 0;
   echoimage::runtime::parallel_for(
-      pool_.get(), num_beeps * active.size(),
-      [&](std::size_t task, std::size_t) {
-        const std::size_t b = task / active.size();
-        const std::size_t c = active[task % active.size()];
-        fronts[b].filtered.channels[c] =
-            prepare(beeps[b].channels[c], context.tau_direct_s_);
+      pool_.get(), num_beeps, [&](std::size_t b, std::size_t) {
+        std::vector<echoimage::dsp::Signal>& filtered = fronts[b].filtered;
+        if (active.size() == mics) {
+          filtered = bandpass_filter_.filtfilt_multi(beeps[b].channels);
+        } else {
+          std::vector<echoimage::dsp::Signal> channels;
+          channels.reserve(active.size());
+          for (const std::size_t c : active)
+            channels.push_back(beeps[b].channels[c]);
+          filtered = bandpass_filter_.filtfilt_multi(channels);
+        }
+        for (echoimage::dsp::Signal& x : filtered)
+          std::fill_n(x.begin(), std::min(direct_end, x.size()), 0.0);
       });
   prepare_spans.clear();
 
-  // Region 1, per (beep, band, active channel): subband filter, analytic
-  // signal and pulse compression of one channel, trimmed to the gate
-  // window. Matched filtering commutes with the linear beamformer, so
-  // compressing per channel once is equivalent to compressing every
-  // steered output.
+  // Region 1, per (beep, band): the subband filter across the active
+  // channels in lockstep; each beep's band-passed copy is freed once its
+  // bands are filtered. Then per (beep, band, active channel): the
+  // analytic signal and pulse compression of one channel, trimmed to the
+  // gate window, each subband channel freed as its task finishes.
+  // Matched filtering commutes with the linear beamformer, so compressing
+  // per channel once is equivalent to compressing every steered output.
+  std::vector<std::vector<echoimage::dsp::Signal>> subband(
+      num_bands > 1 ? num_beeps * num_bands : 0);
+  echoimage::runtime::parallel_for(
+      pool_.get(), subband.size(), [&](std::size_t slot, std::size_t) {
+        subband[slot] = subband_filters_[slot % num_bands].filtfilt_multi(
+            fronts[slot / num_bands].filtered);
+      });
+  if (num_bands > 1)
+    for (BeepFront& front : fronts) front.filtered = {};
   std::vector<std::vector<ComplexSignal>> windows(
       num_beeps * num_bands, std::vector<ComplexSignal>(active.size()));
   echoimage::runtime::parallel_for(
@@ -338,15 +344,13 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
       [&](std::size_t task, std::size_t) {
         const std::size_t slot = task / active.size();
         const std::size_t i = task % active.size();
-        const std::size_t c = active[i];
         const std::size_t band = slot % num_bands;
-        EI_SPAN(tracer, "imaging.channel", c, band_spans[slot]->handle());
+        EI_SPAN(tracer, "imaging.channel", active[i],
+                band_spans[slot]->handle());
         const BeepFront& front = fronts[slot / num_bands];
-        const echoimage::dsp::Signal& x = front.filtered.channels[c];
-        ComplexSignal a =
-            num_bands > 1 ? echoimage::dsp::analytic_signal(
-                                subband_filters_[band].filtfilt(x))
-                          : echoimage::dsp::analytic_signal(x);
+        ComplexSignal a = echoimage::dsp::analytic_signal(
+            num_bands > 1 ? subband[slot][i] : front.filtered[i]);
+        if (num_bands > 1) subband[slot][i] = {};
         if (config_.pulse_compression)
           a = echoimage::dsp::matched_filter_complex(a,
                                                      (*front.spectra)[band]);
@@ -354,7 +358,7 @@ std::vector<std::vector<Matrix2D>> AcousticImager::band_energies(
             a.begin() + static_cast<std::ptrdiff_t>(front.first),
             a.begin() + static_cast<std::ptrdiff_t>(front.last));
       });
-  for (BeepFront& front : fronts) front.filtered = MultiChannelSignal{};
+  for (BeepFront& front : fronts) front.filtered = {};
 
   // Region 2, per (beep, band): per distinct gate, the direction-free
   // incoherent energy and the packed form of the gate's numerator matrix

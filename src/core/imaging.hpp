@@ -23,7 +23,9 @@
 // pixel's steering vectors, pair products and denominator per band and
 // a^H B_g a per beep. The gate sums, the sweep and the CNN's convolution
 // run in vector lanes where the CPU has them, bit for bit as the scalar
-// lane.
+// lane. Before any gate, each beep's front end band-passes its active
+// channels in lockstep, then per band runs the subband filter in lockstep
+// and, per channel, the analytic signal and the matched filter.
 // A beep's image depends only on that beep and the capture context, so
 // the one-beep calls reproduce every beep of a pass bit for bit.
 #pragma once
@@ -99,11 +101,12 @@ struct ImagingConfig {
   std::size_t num_subbands = 5;
   units::MetersPerSecond speed_of_sound = echoimage::array::kSpeedOfSoundMps;
   /// Workers of the imager's pool, which runs each capture's noise path
-  /// (per channel, then per band), per-(beep, channel) band-pass,
-  /// per-(beep, band, channel) front end, per-(beep, band) gate terms and
-  /// grid sweep, and the pipeline's per-band CNN. 1 = the historical
-  /// serial path (no pool, no synchronization); 0 = one per hardware
-  /// thread. Any value produces bit-identical images: every task writes
+  /// (per band), per-beep band-pass, per-(beep, band) subband filter,
+  /// per-(beep, band, channel) analytic signal and matched filter,
+  /// per-(beep, band) gate terms, per-row grid sweep, and the pipeline's
+  /// per-band CNN. 1 = the historical serial path (no pool, no
+  /// synchronization); 0 = one per hardware thread. Any value produces
+  /// bit-identical images: every task writes
   /// its own slots and bands accumulate in a fixed order (see DESIGN.md,
   /// "Threading model").
   std::size_t num_threads = 1;
@@ -150,10 +153,10 @@ class AcousticImager {
   /// keeps every site a dead branch. Call before first use.
   void attach_observability(std::shared_ptr<const obs::Observability> obs);
 
-  /// What every beep of one capture shares, built once per capture on the
-  /// pool (one task per noise channel, then one per band): each band's
-  /// weight solver (band-pass, subband filter and covariance of
-  /// `noise_only`, reduced to `active_mask` and inverted),
+  /// What every beep of one capture shares, built once per capture (the
+  /// noise band-pass across channels in lockstep, then one pool task per
+  /// band): each band's weight solver (band-pass, subband filter and
+  /// covariance of `noise_only`, reduced to `active_mask` and inverted),
   /// each band's matched-filter template spectrum at the FFT length of a
   /// `beep_length`-sample beep, and the gate table of the plane at
   /// `plane_distance` for the given time anchors. `tau_direct_s`,
@@ -219,10 +222,6 @@ class AcousticImager {
   /// Each band's template spectrum at `fft_length`.
   [[nodiscard]] std::vector<echoimage::dsp::ComplexSignal> template_spectra(
       std::size_t fft_length) const;
-  /// Front end shared by all bands, one channel at a time: band-pass +
-  /// direct-path suppression.
-  [[nodiscard]] echoimage::dsp::Signal prepare(const echoimage::dsp::Signal& x,
-                                               double tau_direct_s) const;
 
   ImagingConfig config_;
   ArrayGeometry geometry_;

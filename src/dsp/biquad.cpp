@@ -88,31 +88,6 @@ bool is_rectangular(const std::vector<Signal>& x) {
 
 }  // namespace
 
-std::vector<Signal> SosCascade::filter_multi(
-    const std::vector<Signal>& x) const {
-  const std::size_t width = x.size();
-  const std::size_t frames = x.front().size();
-  // Channel-interleaved frames: packed[t * width + c] = x[c][t].
-  simd::AlignedVector<double> packed(frames * width);
-  for (std::size_t c = 0; c < width; ++c)
-    for (std::size_t t = 0; t < frames; ++t) packed[t * width + c] = x[c][t];
-
-  const simd::KernelTable& k = simd::kernels();
-  simd::AlignedVector<double> z1(width), z2(width);
-  for (const BiquadSection& s : sections_) {
-    std::fill(z1.begin(), z1.end(), 0.0);
-    std::fill(z2.begin(), z2.end(), 0.0);
-    const simd::SosCoeffs c{s.b0, s.b1, s.b2, s.a1, s.a2};
-    k.sos_section_f64(packed.data(), frames, width, c, z1.data(), z2.data());
-  }
-  k.scale_f64(packed.data(), packed.size(), gain_);
-
-  std::vector<Signal> out(width, Signal(frames));
-  for (std::size_t c = 0; c < width; ++c)
-    for (std::size_t t = 0; t < frames; ++t) out[c][t] = packed[t * width + c];
-  return out;
-}
-
 std::vector<Signal> SosCascade::filtfilt_multi(
     const std::vector<Signal>& x) const {
   if (x.empty()) return {};
@@ -122,31 +97,53 @@ std::vector<Signal> SosCascade::filtfilt_multi(
     for (const Signal& c : x) out.push_back(filtfilt(c));
     return out;
   }
+  const std::size_t width = x.size();
   const std::size_t n = x.front().size();
   const std::size_t pad = std::min<std::size_t>(
       n > 1 ? n - 1 : 0, 6 * sections_.size() + 12);
-  std::vector<Signal> ext(x.size());
-  for (std::size_t c = 0; c < x.size(); ++c) {
+  const std::size_t frames = n + 2 * pad;
+  // Channel-interleaved frames of the odd-extended channels (filtfilt's
+  // edge padding): packed[t * width + c] = ext_c[t].
+  simd::AlignedVector<double> packed(frames * width);
+  for (std::size_t c = 0; c < width; ++c) {
     const Signal& ch = x[c];
-    Signal& e = ext[c];
-    e.reserve(n + 2 * pad);
+    double* col = packed.data() + c;
     for (std::size_t i = 0; i < pad; ++i)
-      e.push_back(2.0 * ch.front() - ch[pad - i]);
-    e.insert(e.end(), ch.begin(), ch.end());
+      col[i * width] = 2.0 * ch.front() - ch[pad - i];
+    for (std::size_t i = 0; i < n; ++i) col[(pad + i) * width] = ch[i];
     for (std::size_t i = 0; i < pad; ++i)
-      e.push_back(2.0 * ch.back() - ch[ch.size() - 2 - i]);
+      col[(pad + n + i) * width] = 2.0 * ch.back() - ch[n - 2 - i];
   }
 
-  std::vector<Signal> fwd = filter_multi(ext);
-  for (Signal& c : fwd) std::reverse(c.begin(), c.end());
-  std::vector<Signal> bwd = filter_multi(fwd);
+  const simd::KernelTable& k = simd::kernels();
+  simd::AlignedVector<double> z1(width), z2(width);
+  const auto cascade = [&] {
+    for (const BiquadSection& s : sections_) {
+      std::fill(z1.begin(), z1.end(), 0.0);
+      std::fill(z2.begin(), z2.end(), 0.0);
+      const simd::SosCoeffs c{s.b0, s.b1, s.b2, s.a1, s.a2};
+      k.sos_section_f64(packed.data(), frames, width, c, z1.data(),
+                        z2.data());
+    }
+    k.scale_f64(packed.data(), packed.size(), gain_);
+  };
+  // Forward pass, frames reversed in place, backward pass.
+  cascade();
+  for (std::size_t t = 0; t < frames / 2; ++t) {
+    double* frame = packed.data() + t * width;
+    std::swap_ranges(frame, frame + width,
+                     packed.data() + (frames - 1 - t) * width);
+  }
+  cascade();
 
-  std::vector<Signal> out;
-  out.reserve(x.size());
-  for (Signal& c : bwd) {
-    std::reverse(c.begin(), c.end());
-    out.emplace_back(c.begin() + static_cast<std::ptrdiff_t>(pad),
-                     c.begin() + static_cast<std::ptrdiff_t>(pad + n));
+  // Unpack with the final reversal and the trim folded in: sample i of
+  // channel c is frame frames - 1 - pad - i of the backward pass.
+  std::vector<Signal> out(width, Signal(n));
+  for (std::size_t c = 0; c < width; ++c) {
+    const double* col = packed.data() + c;
+    Signal& y = out[c];
+    for (std::size_t i = 0; i < n; ++i)
+      y[i] = col[(frames - 1 - pad - i) * width];
   }
   return out;
 }

@@ -54,20 +54,18 @@ class SosCascade {
   /// keeps matched-filter peak positions honest.
   [[nodiscard]] Signal filtfilt(std::span<const Sample> x) const;
 
-  /// Lockstep multi-channel filtfilt(): every equal-length channel advances
-  /// through the cascade one frame at a time, vectorized across channels
-  /// (simd sos_section kernel). Each channel's DF2T recurrence is
-  /// independent, so the output is bit-identical to calling filtfilt() per
-  /// channel; ragged, single-channel and empty inputs fall back to exactly
-  /// that.
+  /// Lockstep multi-channel filtfilt(): the odd-extended channels are
+  /// packed into channel-interleaved frames once, and every equal-length
+  /// channel advances through the cascade one frame at a time, vectorized
+  /// across channels (simd sos_section kernel), forward, then backward
+  /// over the frames reversed in place; one unpack reverses and trims.
+  /// Each channel's DF2T recurrence is independent, so the output is
+  /// bit-identical to calling filtfilt() per channel; ragged,
+  /// single-channel and empty inputs fall back to exactly that.
   [[nodiscard]] std::vector<Signal> filtfilt_multi(
       const std::vector<Signal>& x) const;
 
  private:
-  /// Lockstep filter() over two or more non-empty equal-length channels.
-  [[nodiscard]] std::vector<Signal> filter_multi(
-      const std::vector<Signal>& x) const;
-
   std::vector<BiquadSection> sections_;
   double gain_ = 1.0;
 };

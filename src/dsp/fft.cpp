@@ -24,6 +24,31 @@ void fft_pow2_in_place(ComplexSignal& x, bool inverse) {
   simd::FftPlan::for_size(n).execute(x.data(), inverse);
 }
 
+namespace {
+
+template <typename T>
+ComplexSignal padded_transform(std::span<const T> x, std::size_t n) {
+  if (!is_pow2(n) || n < x.size())
+    throw std::invalid_argument(
+        "fft_pow2_padded: size must be 2^k and hold the input");
+  const simd::FftPlan& plan = simd::FftPlan::for_size(n);
+  ComplexSignal out(n, Complex(0.0, 0.0));
+  for (std::size_t i = 0; i < x.size(); ++i)
+    out[plan.reversed(i)] = Complex(x[i]);
+  plan.execute_reversed(out.data(), false);
+  return out;
+}
+
+}  // namespace
+
+ComplexSignal fft_pow2_padded(std::span<const Sample> x, std::size_t n) {
+  return padded_transform(x, n);
+}
+
+ComplexSignal fft_pow2_padded(std::span<const Complex> x, std::size_t n) {
+  return padded_transform(x, n);
+}
+
 double bin_frequency(std::size_t k, std::size_t n, double sample_rate) {
   if (n == 0) throw std::invalid_argument("bin_frequency: n == 0");
   const double kk = (k <= n / 2) ? static_cast<double>(k)

@@ -23,6 +23,16 @@ namespace echoimage::dsp {
 /// inverse transform.
 void fft_pow2_in_place(ComplexSignal& x, bool inverse);
 
+/// Forward FFT of `x` zero-padded to `n` points (a power of two no
+/// shorter than `x`; throws std::invalid_argument otherwise): the bits of
+/// copying `x` into n zeros and calling fft_pow2_in_place, with each
+/// sample written straight to its bit-reversed position instead of
+/// permuted afterwards.
+[[nodiscard]] ComplexSignal fft_pow2_padded(std::span<const Sample> x,
+                                            std::size_t n);
+[[nodiscard]] ComplexSignal fft_pow2_padded(std::span<const Complex> x,
+                                            std::size_t n);
+
 /// Frequency (Hz) of FFT bin `k` for an N-point transform at `sample_rate`.
 /// Bins above N/2 map to their negative frequencies.
 [[nodiscard]] double bin_frequency(std::size_t k, std::size_t n,

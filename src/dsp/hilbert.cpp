@@ -12,9 +12,7 @@ ComplexSignal analytic_signal(std::span<const Sample> x) {
   if (x.empty()) return {};
   const std::size_t n = x.size();
   const std::size_t m = next_pow2(n);
-  ComplexSignal spec(m, Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < n; ++i) spec[i] = Complex(x[i], 0.0);
-  fft_pow2_in_place(spec, false);
+  ComplexSignal spec = fft_pow2_padded(x, m);
   // One-sided spectrum: keep DC and Nyquist, double positive frequencies,
   // zero negative frequencies.
   if (m >= 2)

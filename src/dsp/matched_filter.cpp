@@ -17,10 +17,7 @@ ComplexSignal template_spectrum(std::span<const Sample> tmpl,
                                 std::size_t fft_length) {
   if (fft_length < tmpl.size())
     throw std::invalid_argument("template_spectrum: FFT shorter than template");
-  ComplexSignal ft(fft_length, Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < tmpl.size(); ++i) ft[i] = Complex(tmpl[i], 0.0);
-  fft_pow2_in_place(ft, false);
-  return ft;
+  return fft_pow2_padded(tmpl, fft_length);
 }
 
 ComplexSignal matched_filter_complex(const ComplexSignal& received,
@@ -31,9 +28,7 @@ ComplexSignal matched_filter_complex(const ComplexSignal& received,
   if (m < received.size())
     throw std::invalid_argument(
         "matched_filter_complex: spectrum shorter than the signal");
-  ComplexSignal fr(m, Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < received.size(); ++i) fr[i] = received[i];
-  fft_pow2_in_place(fr, false);
+  ComplexSignal fr = fft_pow2_padded(received, m);
   // Correlation: IFFT(R * conj(S)); non-negative lags land at the front.
   simd::kernels().complex_conj_mul_f64(fr.data(), spectrum.data(), m);
   fft_pow2_in_place(fr, true);

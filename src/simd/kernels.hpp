@@ -76,12 +76,14 @@ struct Conv3x3 {
 struct KernelTable {
   Isa isa = Isa::kScalar;
 
-  /// One radix-2 butterfly stage over an interleaved complex-double array
-  /// of n elements (2n doubles): for each block of `len`, and k in
-  /// [0, len/2): v = x[i+k+len/2] * tw[k]; x[i+k] = u + v;
-  /// x[i+k+len/2] = u - v. `tw` holds len/2 interleaved twiddles.
-  void (*fft_stage_f64)(double* x, const double* tw, std::size_t n,
-                        std::size_t len);
+  /// Every radix-2 butterfly stage of an n-point transform (n a power of
+  /// two, n >= 2) over an interleaved complex-double array already in
+  /// bit-reversed order: for len = 2, 4, ..., n in turn, for each block of
+  /// `len` and k in [0, len/2): v = x[i+k+len/2] * w_len[k];
+  /// x[i+k] = u + v; x[i+k+len/2] = u - v, where stage len's len/2
+  /// twiddles w_len are complexes [len/2, len) of `tw`. With `normalize`,
+  /// every element is then multiplied by 1.0 / n (the inverse's 1/N).
+  void (*fft_f64)(double* x, const double* tw, std::size_t n, bool normalize);
 
   /// a[i] *= conj(b[i]), the correlation / matched-filter spectrum product.
   void (*complex_conj_mul_f64)(std::complex<double>* a,
@@ -98,7 +100,8 @@ struct KernelTable {
   /// `num_frames` frames of `width` doubles (one slot per lockstepped
   /// channel); `z1`/`z2` are the per-channel DF2T states (width each),
   /// updated in place. Per frame, per channel: out = b0*in + z1;
-  /// z1 = b1*in - a1*out + z2; z2 = b2*in - a2*out.
+  /// z1 = b1*in - a1*out + z2; z2 = b2*in - a2*out. The AVX2 lane holds
+  /// the states of up to 8 channels in registers across frames.
   void (*sos_section_f64)(double* x, std::size_t num_frames, std::size_t width,
                           const SosCoeffs& c, double* z1, double* z2);
 

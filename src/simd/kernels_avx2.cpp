@@ -3,10 +3,12 @@
 // Same bit-transparency discipline as the SSE2 lane: vertical ops only, in
 // the scalar reference's association order. Compiled with -mavx2 -mno-fma
 // -ffp-contract=off — FMA contraction would change bits, so it is
-// explicitly disabled even though the hardware has it. The gate sums run
-// table columns in lanes, the sweep four pixels of a row, and the
-// convolution four output channels per register; each lane does the
-// scalar reference's operations for its own output, in its order.
+// explicitly disabled even though the hardware has it. The FFT runs two
+// butterfly stages per pass over memory, the SOS section keeps up to 8
+// channels' states in registers across frames, the gate sums run table
+// columns in lanes, the sweep four pixels of a row, and the convolution
+// four output channels per register; each lane does the scalar
+// reference's operations for its own output, in its order.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
@@ -44,30 +46,123 @@ inline __m256d cmul_conj(__m256d a, __m256d b) {
   return _mm256_add_pd(t2, _mm256_xor_pd(t1, neg_odd4()));
 }
 
-void fft_stage_f64(double* x, const double* tw, std::size_t n,
-                   std::size_t len) {
+/// Stages len 2 and 4 in one pass over each block of four: lo/hi hold
+/// the len-2 pairs (x0, x2)/(x1, x3), then u/h the len-4 pairs
+/// (x0, x1)/(x2, x3). With `last`, outputs are multiplied by `scale`.
+void fft_stages_2_4(double* x, const double* tw, std::size_t n, bool last,
+                    __m256d scale) {
+  const __m256d w2 =
+      _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(tw + 2));
+  const __m256d w4 = _mm256_loadu_pd(tw + 4);
+  for (std::size_t i = 0; i < n; i += 4) {
+    double* p = x + 2 * i;
+    const __m256d a = _mm256_loadu_pd(p), b = _mm256_loadu_pd(p + 4);
+    const __m256d lo = _mm256_permute2f128_pd(a, b, 0x20);  // x0 x2
+    const __m256d hi = _mm256_permute2f128_pd(a, b, 0x31);  // x1 x3
+    const __m256d v2 = cmul(hi, w2);
+    const __m256d s0 = _mm256_add_pd(lo, v2);  // x0' x2'
+    const __m256d s1 = _mm256_sub_pd(lo, v2);  // x1' x3'
+    const __m256d u = _mm256_permute2f128_pd(s0, s1, 0x20);  // x0' x1'
+    const __m256d h = _mm256_permute2f128_pd(s0, s1, 0x31);  // x2' x3'
+    const __m256d v4 = cmul(h, w4);
+    __m256d y0 = _mm256_add_pd(u, v4), y1 = _mm256_sub_pd(u, v4);
+    if (last) {
+      y0 = _mm256_mul_pd(y0, scale);
+      y1 = _mm256_mul_pd(y1, scale);
+    }
+    _mm256_storeu_pd(p, y0);
+    _mm256_storeu_pd(p + 4, y1);
+  }
+}
+
+/// Stages len and 2 len (len >= 4) in one pass: per block of 2 len and
+/// k in [0, len/2), the four elements a = x[i+k], b = x[i+k+len/2],
+/// c = x[i+k+len], d = x[i+k+len+len/2] take stage len's butterflies
+/// (a, b) and (c, d) with w_len[k], then stage 2 len's (a, c) with
+/// w_2len[k] and (b, d) with w_2len[k+len/2], two values of k per
+/// register.
+void fft_stage_pair(double* x, const double* tw, std::size_t n,
+                    std::size_t len, bool last, __m256d scale) {
   const std::size_t half = len / 2;
+  const double* w1 = tw + len;
+  const double* w2 = tw + 2 * len;
+  for (std::size_t i = 0; i < n; i += 2 * len) {
+    double* pa = x + 2 * i;
+    double* pb = pa + 2 * half;
+    double* pc = pa + 2 * len;
+    double* pd = pc + 2 * half;
+    for (std::size_t k = 0; k < half; k += 2) {
+      const __m256d w = _mm256_loadu_pd(w1 + 2 * k);
+      const __m256d a = _mm256_loadu_pd(pa + 2 * k);
+      const __m256d vb = cmul(_mm256_loadu_pd(pb + 2 * k), w);
+      const __m256d c = _mm256_loadu_pd(pc + 2 * k);
+      const __m256d vd = cmul(_mm256_loadu_pd(pd + 2 * k), w);
+      const __m256d a1 = _mm256_add_pd(a, vb), b1 = _mm256_sub_pd(a, vb);
+      const __m256d c1 = _mm256_add_pd(c, vd), d1 = _mm256_sub_pd(c, vd);
+      const __m256d vc = cmul(c1, _mm256_loadu_pd(w2 + 2 * k));
+      const __m256d vd1 = cmul(d1, _mm256_loadu_pd(w2 + 2 * (k + half)));
+      __m256d ya = _mm256_add_pd(a1, vc), yc = _mm256_sub_pd(a1, vc);
+      __m256d yb = _mm256_add_pd(b1, vd1), yd = _mm256_sub_pd(b1, vd1);
+      if (last) {
+        ya = _mm256_mul_pd(ya, scale);
+        yb = _mm256_mul_pd(yb, scale);
+        yc = _mm256_mul_pd(yc, scale);
+        yd = _mm256_mul_pd(yd, scale);
+      }
+      _mm256_storeu_pd(pa + 2 * k, ya);
+      _mm256_storeu_pd(pb + 2 * k, yb);
+      _mm256_storeu_pd(pc + 2 * k, yc);
+      _mm256_storeu_pd(pd + 2 * k, yd);
+    }
+  }
+}
+
+/// The last stage alone (len >= 4), outputs scaled when `normalize`.
+void fft_last_stage(double* x, const double* tw, std::size_t n,
+                    std::size_t len, bool normalize, __m256d scale) {
+  const std::size_t half = len / 2;
+  const double* w1 = tw + len;
   for (std::size_t i = 0; i < n; i += len) {
     double* lo = x + 2 * i;
     double* hi = lo + 2 * half;
-    std::size_t k = 0;
-    for (; k + 2 <= half; k += 2) {
+    for (std::size_t k = 0; k < half; k += 2) {
       const __m256d u = _mm256_loadu_pd(lo + 2 * k);
-      const __m256d w = _mm256_loadu_pd(tw + 2 * k);
-      const __m256d v = cmul(_mm256_loadu_pd(hi + 2 * k), w);
-      _mm256_storeu_pd(lo + 2 * k, _mm256_add_pd(u, v));
-      _mm256_storeu_pd(hi + 2 * k, _mm256_sub_pd(u, v));
-    }
-    for (; k < half; ++k) {
-      const auto* wk = reinterpret_cast<const Complex*>(tw) + k;
-      auto* cl = reinterpret_cast<Complex*>(lo) + k;
-      auto* ch = reinterpret_cast<Complex*>(hi) + k;
-      const Complex u = *cl;
-      const Complex v = *ch * *wk;
-      *cl = u + v;
-      *ch = u - v;
+      const __m256d v =
+          cmul(_mm256_loadu_pd(hi + 2 * k), _mm256_loadu_pd(w1 + 2 * k));
+      __m256d y0 = _mm256_add_pd(u, v), y1 = _mm256_sub_pd(u, v);
+      if (normalize) {
+        y0 = _mm256_mul_pd(y0, scale);
+        y1 = _mm256_mul_pd(y1, scale);
+      }
+      _mm256_storeu_pd(lo + 2 * k, y0);
+      _mm256_storeu_pd(hi + 2 * k, y1);
     }
   }
+}
+
+/// Stages 2 and 4 in one pass, then two stages per pass, then an odd last
+/// stage on its own; the 1/N product is taken on the last pass's outputs.
+/// Every element gets the scalar lane's butterflies in its stage order.
+void fft_f64(double* x, const double* tw, std::size_t n, bool normalize) {
+  const double s = 1.0 / static_cast<double>(n);
+  if (n == 2) {
+    auto* c = reinterpret_cast<Complex*>(x);
+    const Complex u = c[0];
+    const Complex v = c[1] * reinterpret_cast<const Complex*>(tw)[1];
+    c[0] = u + v;
+    c[1] = u - v;
+    if (normalize) {
+      c[0] *= s;
+      c[1] *= s;
+    }
+    return;
+  }
+  const __m256d scale = _mm256_set1_pd(s);
+  fft_stages_2_4(x, tw, n, normalize && n == 4, scale);
+  std::size_t len = 8;
+  for (; 2 * len <= n; len *= 4)
+    fft_stage_pair(x, tw, n, len, normalize && 2 * len == n, scale);
+  if (len == n) fft_last_stage(x, tw, n, len, normalize, scale);
 }
 
 void complex_conj_mul_f64(Complex* a, const Complex* b, std::size_t n) {
@@ -98,8 +193,90 @@ void scale_f64(double* x, std::size_t n, double s) {
   for (; i < n; ++i) x[i] *= s;
 }
 
+/// Channels [0, W) of every frame, W <= 8, as registers of 4, then 2,
+/// then 1 channel whose states stay in registers across all frames.
+template <std::size_t W>
+void sos_in_registers(double* x, std::size_t num_frames, const SosCoeffs& c,
+                      double* z1, double* z2) {
+  constexpr std::size_t kQuads = W / 4;
+  constexpr bool kPair = W % 4 >= 2;
+  constexpr bool kOne = W % 2 == 1;
+  constexpr std::size_t kPairAt = 4 * kQuads;
+  const __m256d b0 = _mm256_set1_pd(c.b0), b1 = _mm256_set1_pd(c.b1),
+                b2 = _mm256_set1_pd(c.b2), a1 = _mm256_set1_pd(c.a1),
+                a2 = _mm256_set1_pd(c.a2);
+  const __m128d b0p = _mm_set1_pd(c.b0), b1p = _mm_set1_pd(c.b1),
+                b2p = _mm_set1_pd(c.b2), a1p = _mm_set1_pd(c.a1),
+                a2p = _mm_set1_pd(c.a2);
+  __m256d s1[kQuads > 0 ? kQuads : 1], s2[kQuads > 0 ? kQuads : 1];
+  for (std::size_t q = 0; q < kQuads; ++q) {
+    s1[q] = _mm256_loadu_pd(z1 + 4 * q);
+    s2[q] = _mm256_loadu_pd(z2 + 4 * q);
+  }
+  __m128d p1 = _mm_setzero_pd(), p2 = _mm_setzero_pd();
+  if constexpr (kPair) {
+    p1 = _mm_loadu_pd(z1 + kPairAt);
+    p2 = _mm_loadu_pd(z2 + kPairAt);
+  }
+  double o1 = 0.0, o2 = 0.0;
+  if constexpr (kOne) {
+    o1 = z1[W - 1];
+    o2 = z2[W - 1];
+  }
+  for (std::size_t t = 0; t < num_frames; ++t) {
+    double* frame = x + t * W;
+    for (std::size_t q = 0; q < kQuads; ++q) {
+      const __m256d in = _mm256_loadu_pd(frame + 4 * q);
+      const __m256d out = _mm256_add_pd(_mm256_mul_pd(b0, in), s1[q]);
+      s1[q] = _mm256_add_pd(
+          _mm256_sub_pd(_mm256_mul_pd(b1, in), _mm256_mul_pd(a1, out)), s2[q]);
+      s2[q] = _mm256_sub_pd(_mm256_mul_pd(b2, in), _mm256_mul_pd(a2, out));
+      _mm256_storeu_pd(frame + 4 * q, out);
+    }
+    if constexpr (kPair) {
+      const __m128d in = _mm_loadu_pd(frame + kPairAt);
+      const __m128d out = _mm_add_pd(_mm_mul_pd(b0p, in), p1);
+      p1 = _mm_add_pd(_mm_sub_pd(_mm_mul_pd(b1p, in), _mm_mul_pd(a1p, out)),
+                      p2);
+      p2 = _mm_sub_pd(_mm_mul_pd(b2p, in), _mm_mul_pd(a2p, out));
+      _mm_storeu_pd(frame + kPairAt, out);
+    }
+    if constexpr (kOne) {
+      const double in = frame[W - 1];
+      const double out = c.b0 * in + o1;
+      o1 = c.b1 * in - c.a1 * out + o2;
+      o2 = c.b2 * in - c.a2 * out;
+      frame[W - 1] = out;
+    }
+  }
+  for (std::size_t q = 0; q < kQuads; ++q) {
+    _mm256_storeu_pd(z1 + 4 * q, s1[q]);
+    _mm256_storeu_pd(z2 + 4 * q, s2[q]);
+  }
+  if constexpr (kPair) {
+    _mm_storeu_pd(z1 + kPairAt, p1);
+    _mm_storeu_pd(z2 + kPairAt, p2);
+  }
+  if constexpr (kOne) {
+    z1[W - 1] = o1;
+    z2[W - 1] = o2;
+  }
+}
+
 void sos_section_f64(double* x, std::size_t num_frames, std::size_t width,
                      const SosCoeffs& c, double* z1, double* z2) {
+  switch (width) {
+    case 1: sos_in_registers<1>(x, num_frames, c, z1, z2); return;
+    case 2: sos_in_registers<2>(x, num_frames, c, z1, z2); return;
+    case 3: sos_in_registers<3>(x, num_frames, c, z1, z2); return;
+    case 4: sos_in_registers<4>(x, num_frames, c, z1, z2); return;
+    case 5: sos_in_registers<5>(x, num_frames, c, z1, z2); return;
+    case 6: sos_in_registers<6>(x, num_frames, c, z1, z2); return;
+    case 7: sos_in_registers<7>(x, num_frames, c, z1, z2); return;
+    case 8: sos_in_registers<8>(x, num_frames, c, z1, z2); return;
+    default: break;
+  }
+  // Wider inputs: the states round-trip through memory every frame.
   const __m256d b0 = _mm256_set1_pd(c.b0), b1 = _mm256_set1_pd(c.b1),
                 b2 = _mm256_set1_pd(c.b2), a1 = _mm256_set1_pd(c.a1),
                 a2 = _mm256_set1_pd(c.a2);
@@ -409,7 +586,7 @@ void conv3x3_row_f64(const Conv3x3& conv, std::size_t oy, double* y) {
 
 const KernelTable kTable = {
     .isa = Isa::kAvx2,
-    .fft_stage_f64 = &fft_stage_f64,
+    .fft_f64 = &fft_f64,
     .complex_conj_mul_f64 = &complex_conj_mul_f64,
     .complex_scale_f64 = &complex_scale_f64,
     .scale_f64 = &scale_f64,

@@ -18,27 +18,31 @@ namespace {
 
 using Complex = std::complex<double>;
 
-void fft_stage_f64(double* x, const double* tw, std::size_t n,
-                   std::size_t len) {
-  auto* c = reinterpret_cast<Complex*>(x);
-  const auto* w = reinterpret_cast<const Complex*>(tw);
-  const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < n; i += len) {
-    for (std::size_t k = 0; k < half; ++k) {
-      const Complex u = c[i + k];
-      const Complex v = c[i + k + half] * w[k];
-      c[i + k] = u + v;
-      c[i + k + half] = u - v;
-    }
-  }
-}
-
 void complex_conj_mul_f64(Complex* a, const Complex* b, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) a[i] *= std::conj(b[i]);
 }
 
 void complex_scale_f64(Complex* a, std::size_t n, double s) {
   for (std::size_t i = 0; i < n; ++i) a[i] *= s;
+}
+
+/// The historical transform after its permutation: one pass per stage,
+/// then the separate 1/N pass.
+void fft_f64(double* x, const double* tw, std::size_t n, bool normalize) {
+  auto* c = reinterpret_cast<Complex*>(x);
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const auto* w = reinterpret_cast<const Complex*>(tw) + half;
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const Complex u = c[i + k];
+        const Complex v = c[i + k + half] * w[k];
+        c[i + k] = u + v;
+        c[i + k + half] = u - v;
+      }
+    }
+  }
+  if (normalize) complex_scale_f64(c, n, 1.0 / static_cast<double>(n));
 }
 
 void scale_f64(double* x, std::size_t n, double s) {
@@ -75,7 +79,7 @@ constexpr std::size_t kStackScratch = 2 * 16 + 16 * 15;
 
 const KernelTable kTable = {
     .isa = Isa::kScalar,
-    .fft_stage_f64 = &fft_stage_f64,
+    .fft_f64 = &fft_f64,
     .complex_conj_mul_f64 = &complex_conj_mul_f64,
     .complex_scale_f64 = &complex_scale_f64,
     .scale_f64 = &scale_f64,

@@ -47,8 +47,7 @@ inline __m128d cmul_conj(__m128d a, __m128d b) {
   return _mm_add_pd(t2, _mm_xor_pd(t1, neg_odd()));
 }
 
-void fft_stage_f64(double* x, const double* tw, std::size_t n,
-                   std::size_t len) {
+void fft_stage(double* x, const double* tw, std::size_t n, std::size_t len) {
   const std::size_t half = len / 2;
   for (std::size_t i = 0; i < n; i += len) {
     double* lo = x + 2 * i;
@@ -76,6 +75,13 @@ void complex_scale_f64(Complex* a, std::size_t n, double s) {
   const __m128d vs = _mm_set1_pd(s);
   for (std::size_t i = 0; i < n; ++i)
     _mm_storeu_pd(p + 2 * i, _mm_mul_pd(_mm_loadu_pd(p + 2 * i), vs));
+}
+
+void fft_f64(double* x, const double* tw, std::size_t n, bool normalize) {
+  for (std::size_t len = 2; len <= n; len <<= 1) fft_stage(x, tw + len, n, len);
+  if (normalize)
+    complex_scale_f64(reinterpret_cast<Complex*>(x), n,
+                      1.0 / static_cast<double>(n));
 }
 
 void scale_f64(double* x, std::size_t n, double s) {
@@ -118,7 +124,7 @@ void sos_section_f64(double* x, std::size_t num_frames, std::size_t width,
 
 const KernelTable kTable = {
     .isa = Isa::kSse2,
-    .fft_stage_f64 = &fft_stage_f64,
+    .fft_f64 = &fft_f64,
     .complex_conj_mul_f64 = &complex_conj_mul_f64,
     .complex_scale_f64 = &complex_scale_f64,
     .scale_f64 = &scale_f64,

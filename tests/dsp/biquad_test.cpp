@@ -172,10 +172,15 @@ TEST(SosCascade, FiltFiltMultiMatchesPerChannelFiltFiltOnEveryLane) {
   const std::vector<SosCascade> filters = {
       butterworth_bandpass(4, 2000.0, 3000.0, 48000.0),
       butterworth_bandpass(2, 2000.0, 2200.0, 48000.0)};
-  std::vector<Signal> six;
+  std::vector<Signal> six, five, noise;
   for (unsigned c = 0; c < 6; ++c) six.push_back(random_signal(2880, 10 + c));
+  for (unsigned c = 0; c < 5; ++c) five.push_back(random_signal(2880, 30 + c));
+  for (unsigned c = 0; c < 6; ++c)
+    noise.push_back(random_signal(2048, 40 + c));
   const std::vector<std::vector<Signal>> inputs = {
       six,                                               // lockstep
+      five,   // one microphone masked
+      noise,  // a noise gap
       {random_signal(2880, 20)},                         // one channel
       {random_signal(100, 21), random_signal(2880, 22),  // ragged
        random_signal(37, 23)},

@@ -121,35 +121,45 @@ TEST(KernelDiff, ComplexScaleAndScaleMatchScalarBitwise) {
   }
 }
 
-TEST(KernelDiff, FftStageMatchesScalarBitwise) {
+TEST(KernelDiff, FftMatchesScalarBitwise) {
+  // The whole-transform entry at every power of two from 2 to 8192, both
+  // with and without the 1/N pass: the AVX2 lane's fused stage pairs, its
+  // odd last stage (n = 8, 32, ...) and its n = 2 and 4 special cases.
+  // Random twiddles (complex 0 of the table is unused padding) keep any
+  // stage from hiding behind a trivial factor.
   const KernelTable& ref = kernels_for(Isa::kScalar);
   for (Isa isa : vector_lanes()) {
     const KernelTable& vec = kernels_for(isa);
     std::mt19937_64 gen(0xC0FFEE04 + static_cast<unsigned>(isa));
-    for (std::size_t n : {2u, 4u, 8u, 16u, 32u, 64u, 256u}) {
-      for (std::size_t len = 2; len <= n; len <<= 1) {
+    for (std::size_t n = 2; n <= 8192; n *= 2) {
+      MisalignedComplex tw(n, gen);
+      for (const bool normalize : {false, true}) {
         MisalignedComplex x(n, gen);
-        MisalignedComplex tw(len / 2, gen);
         std::vector<double> x_ref(x.raw);
-        ref.fft_stage_f64(x_ref.data() + 1,
-                          reinterpret_cast<const double*>(tw.data), n, len);
-        vec.fft_stage_f64(x.raw.data() + 1,
-                          reinterpret_cast<const double*>(tw.data), n, len);
-        expect_bits_equal(x.raw.data(), x_ref.data(), x.raw.size(),
-                          "fft_stage", isa);
+        ref.fft_f64(x_ref.data() + 1, reinterpret_cast<const double*>(tw.data),
+                    n, normalize);
+        vec.fft_f64(x.raw.data() + 1, reinterpret_cast<const double*>(tw.data),
+                    n, normalize);
+        SCOPED_TRACE(::testing::Message() << "n " << n << " normalize "
+                                          << normalize);
+        expect_bits_equal(x.raw.data(), x_ref.data(), x.raw.size(), "fft",
+                          isa);
       }
     }
   }
 }
 
 TEST(KernelDiff, SosSectionMatchesScalarBitwise) {
+  // Widths 1-8 take the AVX2 lane's register-state path (chunks of 4, 2
+  // and 1 channels), 13 the memory-state loop; up to 2,928 frames, a
+  // 2,880-sample beep with filtfilt's edge padding.
   const KernelTable& ref = kernels_for(Isa::kScalar);
   for (Isa isa : vector_lanes()) {
     const KernelTable& vec = kernels_for(isa);
     std::mt19937_64 gen(0xC0FFEE05 + static_cast<unsigned>(isa));
     std::uniform_real_distribution<double> coeff(-0.9, 0.9);
-    for (std::size_t width : {1u, 2u, 3u, 4u, 5u, 6u, 8u, 13u}) {
-      for (std::size_t frames : {0u, 1u, 3u, 17u, 64u}) {
+    for (std::size_t width : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 13u}) {
+      for (std::size_t frames : {0u, 1u, 3u, 17u, 64u, 2928u}) {
         SosCoeffs c{coeff(gen), coeff(gen), coeff(gen), coeff(gen),
                     coeff(gen)};
         std::vector<double> x(frames * width + 1);
@@ -162,6 +172,8 @@ TEST(KernelDiff, SosSectionMatchesScalarBitwise) {
                             z1_ref.data(), z2_ref.data());
         vec.sos_section_f64(x.data() + 1, frames, width, c, z1.data(),
                             z2.data());
+        SCOPED_TRACE(::testing::Message() << "width " << width << " frames "
+                                          << frames);
         expect_bits_equal(x.data(), x_ref.data(), x.size(), "sos_x", isa);
         expect_bits_equal(z1.data(), z1_ref.data(), width, "sos_z1", isa);
         expect_bits_equal(z2.data(), z2_ref.data(), width, "sos_z2", isa);
